@@ -142,9 +142,23 @@ class PipelineArtifact:
         return artifact
 
     def validate(self) -> None:
-        """Cheap self-consistency checks: the stored graph must be exactly
-        what the stored similarity and threshold produce, and the stored
-        average-centrality column must equal the mean of its components."""
+        """Cheap self-consistency checks: the clustering and the centrality
+        table must cover exactly the film set, cluster ids must be dense
+        from 0, profiles may name only known films, the stored graph must be
+        exactly what the stored similarity and threshold produce, and the
+        stored average-centrality column must equal the mean of its
+        components."""
+        films = set(self.similarity.films)
+        if set(self.clustering.assignment) != films:
+            raise DataError("artifact clustering does not cover exactly the film set")
+        cluster_ids = set(self.clustering.assignment.values())
+        if cluster_ids != set(range(len(cluster_ids))):
+            raise DataError("artifact cluster ids are not dense from 0")
+        if set(self.centrality.rows) != films:
+            raise DataError("artifact centrality table does not cover exactly the film set")
+        for user, profile in self.profiles.items():
+            if not profile.watched() <= films:
+                raise DataError(f"artifact profile for {user} names films outside the film set")
         rebuilt = build_graph(self.similarity, self.config.edge_threshold)
         stored_edges = {(a, b): w for a, b, w in self.graph.edges()}
         rebuilt_edges = {(a, b): w for a, b, w in rebuilt.edges()}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, TextIO
 
@@ -37,10 +38,12 @@ class ViewingEvent:
     total_seconds: float
 
     def __post_init__(self):
-        if self.total_seconds <= 0:
-            raise DataError(f"total_seconds must be positive, got {self.total_seconds}")
-        if self.watch_seconds < 0:
-            raise DataError(f"watch_seconds must be non-negative, got {self.watch_seconds}")
+        # A chained comparison is False for nan, so each check also rejects
+        # every non-finite duration.
+        if not 0.0 < self.total_seconds < math.inf:
+            raise DataError(f"total_seconds must be finite and positive, got {self.total_seconds}")
+        if not 0.0 <= self.watch_seconds < math.inf:
+            raise DataError(f"watch_seconds must be finite and non-negative, got {self.watch_seconds}")
 
 
 def parse_events(stream: Iterable[str] | TextIO, *, skip_bad_rows: bool = False) -> list[ViewingEvent]:

@@ -17,9 +17,24 @@ different matrices on sparse data:
   the sentinel. Zeros stay in the numerator; they are evidence.
 * ALL_USERS: divide by the total user count, the literal averaging rule.
 
-Per film pair, users are accumulated in ascending user order with plain
-sequential addition, so results are reproducible bit-for-bit no matter how
-the pair loop is partitioned.
+The average is accumulated user-major over a pair vector: one entry per
+upper-triangle film pair (``np.triu_indices``), a float64 running total and
+an integer comparable count. Users are taken in ascending user order; for
+each one, the dual similarity of every pair is computed with a few
+vectorised numpy operations and added to the total. Per film pair this is
+exactly the scalar definition, with the users summed sequentially in the
+same order: every pair sees the same IEEE operations (``2 * min / sum``,
+then one addition per user), and a pair the user cannot compare adds
+``0.0``, which leaves the running total bit-for-bit unchanged (``x + 0.0``
+is ``x`` for every x but -0.0, and a total that starts at +0.0 never
+becomes -0.0). Users with no views add only such zeros and are skipped.
+The result is therefore bit-identical to looping ``dual_similarity`` over
+films x films x users, which the tests keep as the reference.
+
+Work is O(films^2 x users), as in the scalar loop, but it runs in numpy.
+Memory is O(films^2): the result matrix plus a handful of per-user arrays
+of ``films * (films - 1) / 2`` entries. The films x films x users tensor is
+never built.
 """
 
 from __future__ import annotations
@@ -103,25 +118,50 @@ def average_similarity(
     films = view.films
     users = view.users
     n = len(films)
+    index = {film: i for i, film in enumerate(films)}
+    rows, cols = np.triu_indices(n, 1)
+    total = np.zeros(rows.size, dtype=np.float64)
+    comparable = np.zeros(rows.size, dtype=np.int64)
+    # Unwatched films read as 0.0 in pct; `watched` tells them apart from a
+    # stored 0.0. ViewMatrix guarantees every stored value is in [0, 1].
+    pct = np.zeros(n, dtype=np.float64)
+    watched = np.zeros(n, dtype=bool)
+    for user in users:
+        views = view.user_views(user)
+        if not views:
+            continue
+        pct.fill(0.0)
+        watched.fill(False)
+        for film, value in views.items():
+            pct[index[film]] = value
+            watched[index[film]] = True
+        n_i = pct[rows]
+        n_j = pct[cols]
+        pair_sum = n_i + n_j
+        ds = np.minimum(n_i, n_j)
+        ds *= 2.0
+        # pair_sum == 0 only when both percentages are 0 (stored or
+        # unwatched), where ds is already 0: NOT_COMPARABLE adds nothing.
+        informative = pair_sum > 0.0
+        np.divide(ds, pair_sum, out=ds, where=informative)
+        total += ds
+        # One-sided pairs are comparable (DS = 0) even when the watched
+        # side is 0.0; neither-watched and both-at-zero pairs are not.
+        comparable += informative | (watched[rows] != watched[cols])
+
+    if policy is AveragingPolicy.COMPARABLE_COUNT:
+        denominator = comparable
+    else:
+        denominator = np.full(rows.size, len(users), dtype=np.int64)
+    averages = np.zeros(rows.size, dtype=np.float64)
+    np.divide(total, denominator, out=averages, where=denominator > 0)
+
     values = np.zeros((n, n), dtype=np.float64)
-    watchers = [view.film_views(film) for film in films]
-    for i in range(n):
-        if watchers[i]:
+    values[rows, cols] = averages
+    values[cols, rows] = averages
+    for i, film in enumerate(films):
+        if view.film_views(film):
             values[i, i] = 1.0
-        for j in range(i + 1, n):
-            total = 0.0
-            comparable = 0
-            for user in users:
-                ds = dual_similarity(watchers[i].get(user), watchers[j].get(user))
-                if ds != NOT_COMPARABLE:
-                    total += ds
-                    comparable += 1
-            if policy is AveragingPolicy.COMPARABLE_COUNT:
-                avg = total / comparable if comparable else 0.0
-            else:
-                avg = total / len(users) if users else 0.0
-            values[i, j] = avg
-            values[j, i] = avg
     return SimilarityMatrix(films, values)
 
 

@@ -3,13 +3,16 @@
 These deliberately avoid the library's fast paths: betweenness is checked by
 explicitly enumerating every shortest path per ordered node pair, modularity
 maxima by scoring every set partition, and averaged similarity by
-materializing the full per-user dual-similarity tensor before aggregating.
+materializing the full per-user dual-similarity tensor before aggregating,
+or by the scalar films x films x users loop.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+
+import numpy as np
 
 from filmrec import FilmGraph, ViewMatrix, modularity_score
 from filmrec.similarity import NOT_COMPARABLE, AveragingPolicy, dual_similarity
@@ -131,6 +134,32 @@ def tensor_average_similarity(view: ViewMatrix, policy: AveragingPolicy):
         else:
             result[pair] = total / len(users) if users else 0.0
     return result
+
+
+def scalar_average_similarity(view: ViewMatrix, policy: AveragingPolicy) -> np.ndarray:
+    """The full similarity matrix from the scalar definition: a films x
+    films x users loop over ``dual_similarity``, summing each pair's
+    informative users sequentially in ascending user order."""
+    films, users = view.films, view.users
+    n = len(films)
+    values = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        if view.film_views(films[i]):
+            values[i, i] = 1.0
+        for j in range(i + 1, n):
+            total = 0.0
+            comparable = 0
+            for user in users:
+                ds = dual_similarity(view.pct(films[i], user), view.pct(films[j], user))
+                if ds != NOT_COMPARABLE:
+                    total += ds
+                    comparable += 1
+            if policy is AveragingPolicy.COMPARABLE_COUNT:
+                avg = total / comparable if comparable else 0.0
+            else:
+                avg = total / len(users) if users else 0.0
+            values[i, j] = values[j, i] = avg
+    return values
 
 
 def monte_carlo_random_judge_accuracy(trials: int, seed: int) -> float:

@@ -2,6 +2,8 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
 import functools
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -287,3 +289,22 @@ def test_criterion_10_determinism(default_synthetic, tmp_path):
     report_a = evaluate_method(EgoGraphPolicy(), train, test)
     report_b = evaluate_method(EgoGraphPolicy(), train, test)
     assert report_a == report_b
+
+
+# sha256 of the canonical JSON of payload_without_timestamp() for the
+# criterion-10 fixture. Any change to the similarity, graph, centrality,
+# clustering or profile output changes it.
+GOLDEN_PAYLOAD_SHA256 = "4d7675b68495c8e16dc987f300d465fb41354e8acd2207aa479da7f684fe7cbe"
+
+
+@criterion("criterion 10 (golden payload hash)")
+def test_criterion_10_golden_payload_hash(default_synthetic, tmp_path):
+    events_path = tmp_path / "events.csv"
+    lines = ["film_id,user_id,watch_seconds,total_seconds"]
+    for event in view_to_events(default_synthetic):
+        lines.append(f"{event.film_id},{event.user_id},{event.watch_seconds!r},{event.total_seconds!r}")
+    events_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    payload = run_pipeline(events_path, PipelineConfig()).payload_without_timestamp()
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_PAYLOAD_SHA256

@@ -146,6 +146,49 @@ class TestArtifactSerialization:
         with pytest.raises(DataError, match="centrality"):
             PipelineArtifact.load(path)
 
+    @staticmethod
+    def _top_preferred(payload):
+        for entry in payload["profiles"].values():
+            if entry["preferred"]:
+                return entry["preferred"][0]
+        raise AssertionError("no user prefers anything")
+
+    def _corrupt(self, payload, corruption):
+        top = self._top_preferred(payload)
+        assignment = payload["clustering"]["assignment"]
+        if corruption == "phantom_clustered_film":
+            assignment["phantom"] = assignment[top]
+        elif corruption == "missing_clustered_film":
+            del assignment[next(film for film in assignment if film != top)]
+        elif corruption == "sparse_cluster_ids":
+            assignment[top] = max(assignment.values()) + 5
+        elif corruption == "phantom_centrality_film":
+            payload["centrality"]["phantom"] = payload["centrality"][top]
+        elif corruption == "missing_centrality_film":
+            del payload["centrality"][top]
+        elif corruption == "phantom_profile_film":
+            user = next(iter(payload["profiles"]))
+            payload["profiles"][user]["non_preferred"].append("phantom")
+
+    @pytest.mark.parametrize(
+        "corruption, message",
+        [
+            ("phantom_clustered_film", "clustering"),
+            ("missing_clustered_film", "clustering"),
+            ("sparse_cluster_ids", "cluster ids"),
+            ("phantom_centrality_film", "centrality"),
+            ("missing_centrality_film", "centrality"),
+            ("phantom_profile_film", "profile"),
+        ],
+    )
+    def test_film_set_mismatch_rejected(self, tmp_path, small_artifact, corruption, message):
+        path = tmp_path / "artifact.json"
+        payload = small_artifact.to_payload()
+        self._corrupt(payload, corruption)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=message):
+            PipelineArtifact.load(path)
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("not json at all {")

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -49,6 +50,25 @@ def test_parse_skip_bad_rows_keeps_good_ones(caplog):
     assert [e.film_id for e in events] == ["1", "3"]
 
 
+NON_FINITE = ["nan", "inf", "-inf", "1e400"]
+
+
+@pytest.mark.parametrize("column", ["watch_seconds", "total_seconds"])
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_parse_rejects_non_finite_durations(column, bad):
+    watch, total = (bad, "100") if column == "watch_seconds" else ("50", bad)
+    with pytest.raises(RowError, match=f"line 3: {column} must be finite"):
+        parse(HEADER + f"1,2,50,100\n3,4,{watch},{total}\n")
+
+
+@pytest.mark.parametrize("column", ["watch_seconds", "total_seconds"])
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_parse_skips_non_finite_durations(column, bad):
+    watch, total = (bad, "100") if column == "watch_seconds" else ("50", bad)
+    events = parse(HEADER + f"1,2,50,100\n3,4,{watch},{total}\n5,6,25,100\n", skip_bad_rows=True)
+    assert [e.film_id for e in events] == ["1", "5"]
+
+
 def test_parse_ignores_extra_columns():
     text = "film_id,user_id,watch_seconds,total_seconds,device\n1,2,50,100,tv\n"
     assert parse(text) == [ViewingEvent("1", "2", 50.0, 100.0)]
@@ -59,6 +79,11 @@ def test_event_validation():
         ViewingEvent("1", "2", 10.0, 0.0)
     with pytest.raises(DataError):
         ViewingEvent("1", "2", -1.0, 10.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DataError, match="finite"):
+            ViewingEvent("1", "2", bad, 10.0)
+        with pytest.raises(DataError, match="finite"):
+            ViewingEvent("1", "2", 5.0, bad)
 
 
 def test_percentage_is_exact_ratio():

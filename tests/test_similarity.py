@@ -13,7 +13,7 @@ from filmrec.similarity import (
     write_dual_similarity_csv,
 )
 
-from oracles import random_view_matrix, tensor_average_similarity
+from oracles import random_view_matrix, scalar_average_similarity, tensor_average_similarity
 
 
 class TestDualSimilarity:
@@ -76,6 +76,32 @@ def pair_view(per_user: list[tuple[float | None, float | None]]) -> ViewMatrix:
     return ViewMatrix(entries, films=["1", "2"], users=users)
 
 
+def realistic_view(rng: random.Random) -> ViewMatrix:
+    """20-60 films x 30-200 users at a random density, with stored 0.0 and
+    -0.0 percentages, full views, users who watched nothing (passed via
+    ``users=``) and films nobody watched (passed via ``films=``)."""
+    films = [str(i + 1) for i in range(rng.randint(20, 60))]
+    users = [f"u{i + 1}" for i in range(rng.randint(30, 200))]
+    unwatched_films = set(rng.sample(films, 2))
+    silent_users = set(rng.sample(users, 3))
+    density = rng.uniform(0.05, 0.8)
+    entries = {}
+    for film in films:
+        for user in users:
+            if film in unwatched_films or user in silent_users or rng.random() >= density:
+                continue
+            roll = rng.random()
+            if roll < 0.1:
+                entries[(film, user)] = 0.0
+            elif roll < 0.12:
+                entries[(film, user)] = -0.0
+            elif roll < 0.2:
+                entries[(film, user)] = 1.0
+            else:
+                entries[(film, user)] = rng.random()
+    return ViewMatrix(entries, films=films, users=users)
+
+
 class TestAverageSimilarity:
     # per-user DS values [NC, NC, 0.4, 0.6, 0.0]
     EXAMPLE = [(None, None), (0.0, 0.0), (0.2, 0.8), (0.3, 0.7), (0.5, None)]
@@ -123,6 +149,15 @@ class TestAverageSimilarity:
                 expected = tensor_average_similarity(view, policy)
                 for (fi, fj), value in expected.items():
                     assert sim.value(fi, fj) == value
+
+    def test_bit_identical_to_scalar_loop_at_realistic_sizes(self):
+        rng = random.Random(2308)
+        views = [realistic_view(rng) for _ in range(6)]
+        views.append(ViewMatrix({("1", "u1"): 0.4, ("1", "u2"): 0.0}, users=["u1", "u2", "u3"]))
+        for view in views:
+            for policy in AveragingPolicy:
+                expected = scalar_average_similarity(view, policy)
+                assert average_similarity(view, policy).values.tobytes() == expected.tobytes()
 
     def test_all_users_never_exceeds_comparable_count(self):
         rng = random.Random(5)
