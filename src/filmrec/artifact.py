@@ -12,7 +12,8 @@ format version.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -142,12 +143,22 @@ class PipelineArtifact:
         return artifact
 
     def validate(self) -> None:
-        """Cheap self-consistency checks: the clustering and the centrality
-        table must cover exactly the film set, cluster ids must be dense
-        from 0, profiles may name only known films, the stored graph must be
-        exactly what the stored similarity and threshold produce, and the
-        stored average-centrality column must equal the mean of its
-        components."""
+        """Cheap self-consistency checks: the similarity is symmetric, in
+        [0, 1] and has a 0.0/1.0 diagonal; the modularity and the centrality
+        components are finite and in range; clustering and centrality cover
+        exactly the film set with dense cluster ids; profiles name only known
+        films; the stored graph and average-centrality column are exactly
+        what the similarity, threshold and components produce."""
+        values = self.similarity.values
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise DataError("artifact similarity has an entry that is not finite or outside [0, 1]")
+        if not np.array_equal(values, values.T):
+            raise DataError("artifact similarity is not symmetric")
+        if not np.isin(values.diagonal(), (0.0, 1.0)).all():
+            raise DataError("artifact similarity diagonal holds a value other than 0.0 or 1.0")
+        modularity = self.clustering.modularity
+        if not (isinstance(modularity, float) and math.isfinite(modularity)):
+            raise DataError(f"artifact modularity is not a finite float: {modularity!r}")
         films = set(self.similarity.films)
         if set(self.clustering.assignment) != films:
             raise DataError("artifact clustering does not cover exactly the film set")
@@ -165,9 +176,8 @@ class PipelineArtifact:
         if stored_edges != rebuilt_edges:
             raise DataError("artifact graph does not match similarity matrix and threshold")
         for film, row in self.centrality.rows.items():
-            expected = average_centrality(row.degree_c, row.closeness_c, row.betweenness_c)
-            if row.avg_c != expected:
+            components = (row.degree_c, row.closeness_c, row.betweenness_c)
+            if not all(isinstance(c, float) and 0.0 <= c <= 1.0 for c in components):
+                raise DataError(f"artifact centrality row for {film} has a component outside [0, 1]")
+            if row.avg_c != average_centrality(*components):
                 raise DataError(f"artifact centrality row for {film} is inconsistent")
-
-    def with_timestamp(self, created_at: str) -> "PipelineArtifact":
-        return replace(self, created_at=created_at)

@@ -45,9 +45,6 @@ class Clustering:
             groups[cluster].append(film)
         return groups
 
-    def cluster_of(self, film: str) -> int:
-        return self.assignment[film]
-
 
 def modularity_score(g: FilmGraph, assignment: Mapping[str, int]) -> float:
     """Modularity Q of a partition; 0 for edgeless graphs."""

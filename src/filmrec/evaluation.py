@@ -24,9 +24,9 @@ from typing import Iterable, Mapping, Protocol, TextIO
 
 from .community import louvain
 from .errors import DomainError
-from .graph import CentralityTable, FilmGraph, build_graph, hop_distances
+from .graph import CentralityTable, FilmGraph, build_graph
 from .ingest import ViewMatrix, ViewingEvent, ident_sort_key
-from .ranking import recommendation_score
+from .ranking import score_candidate
 from .similarity import AveragingPolicy, average_similarity
 
 logger = logging.getLogger(__name__)
@@ -198,11 +198,8 @@ class EgoGraphPolicy:
     """The full similarity-graph pipeline: fit builds the similarity matrix,
     thresholded graph, centrality table, and clustering from training users;
     scoring runs the ego-centric recommendation score over the test user's
-    context films labeled by the preference threshold.
-
-    ``include_held_out_egos`` additionally lets the held-out films vouch for
-    themselves (each held-out film joins its own label's ego list). Default
-    is off: scores should rest on independent evidence.
+    context films labeled by the preference threshold, through the same
+    ``score_candidate`` that serving uses, with egos in film-id order.
     """
 
     def __init__(
@@ -211,55 +208,29 @@ class EgoGraphPolicy:
         averaging_policy: AveragingPolicy = AveragingPolicy.COMPARABLE_COUNT,
         edge_threshold: float = 0.0,
         preference_threshold: float = 0.5,
-        include_held_out_egos: bool = False,
         name: str = "ego_graph",
     ):
         self.name = name
         self.averaging_policy = averaging_policy
         self.edge_threshold = edge_threshold
         self.preference_threshold = preference_threshold
-        self.include_held_out_egos = include_held_out_egos
         self.graph: FilmGraph | None = None
         self.centrality: CentralityTable | None = None
         self.similarity = None
         self.clustering = None
-        self._distance_cache: dict[str, dict[str, int]] = {}
 
     def fit(self, train: ViewMatrix) -> None:
         self.similarity = average_similarity(train, self.averaging_policy)
         self.graph = build_graph(self.similarity, self.edge_threshold)
         self.centrality = CentralityTable.compute(self.graph)
         self.clustering = louvain(self.graph)
-        self._distance_cache = {}
-
-    def _distances(self, ego: str) -> dict[str, int]:
-        cached = self._distance_cache.get(ego)
-        if cached is None:
-            cached = hop_distances(self.graph, ego)
-            self._distance_cache[ego] = cached
-        return cached
 
     def score_film(self, case: EvalCase, film: str) -> float:
         assert self.graph is not None and self.centrality is not None, "fit() first"
-        pref_egos = [f for f, pct in case.context.items() if pct > self.preference_threshold]
-        nonpref_egos = [f for f, pct in case.context.items() if pct <= self.preference_threshold]
-        if self.include_held_out_egos:
-            pref_egos.extend(case.held_preferred)
-            nonpref_egos.extend(case.held_non_preferred)
-        pref_egos.sort(key=ident_sort_key)
-        nonpref_egos.sort(key=ident_sort_key)
-        ac = self.centrality.ac(film)
-
-        def value(ego: str) -> float:
-            hops = self._distances(ego).get(film)
-            if hops is None:
-                return 0.0
-            return ac / max(hops, 1)
-
-        return recommendation_score(
-            (value(ego) for ego in pref_egos),
-            (value(ego) for ego in nonpref_egos),
-        )
+        threshold = self.preference_threshold
+        prefs = sorted((f for f, pct in case.context.items() if pct > threshold), key=ident_sort_key)
+        nonprefs = sorted((f for f, pct in case.context.items() if pct <= threshold), key=ident_sort_key)
+        return score_candidate(self.graph, self.centrality, film, prefs, nonprefs)
 
 
 class RandomScorePolicy:

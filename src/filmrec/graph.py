@@ -22,7 +22,10 @@ from .similarity import SimilarityMatrix
 
 
 class FilmGraph:
-    """Weighted undirected graph over films; immutable once built."""
+    """Weighted undirected graph over films. The edges are immutable once
+    built. Hop distances are memoised per source by ``hops``: the first
+    call for a source runs one BFS and keeps it, so the memo holds at most
+    films² entries."""
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str, float]]):
         self.nodes = tuple(nodes)
@@ -36,6 +39,7 @@ class FilmGraph:
             adjacency[a][b] = weight
             adjacency[b][a] = weight
         self.adjacency = adjacency
+        self._hops: dict[str, dict[str, int]] = {}
 
     def __contains__(self, node: str) -> bool:
         return node in self._order
@@ -59,6 +63,13 @@ class FilmGraph:
 
     def strength(self, node: str) -> float:
         return sum(self.adjacency[node].values())
+
+    def hops(self, source: str) -> dict[str, int]:
+        """Memoised ``hop_distances``; callers share the dict and must not change it."""
+        dist = self._hops.get(source)
+        if dist is None:
+            dist = self._hops[source] = hop_distances(self, source)
+        return dist
 
 
 def build_graph(sim: SimilarityMatrix, edge_threshold: float = 0.0) -> FilmGraph:
@@ -107,7 +118,7 @@ def closeness_centrality(g: FilmGraph, node: str) -> float:
     if node not in g:
         raise KeyError(node)
     n = g.node_count()
-    dist = hop_distances(g, node)
+    dist = g.hops(node)
     r = len(dist)
     if r <= 1 or n <= 1:
         return 0.0

@@ -9,6 +9,11 @@ preferred egos add and scores toward non-preferred egos subtract.
 Distance conventions: a film is at distance 1 from itself (a film appearing
 in its own evidence list contributes its full centrality), and an
 unreachable ego contributes nothing.
+
+``score_candidate`` is the one scorer, for serving and offline evaluation
+alike. It reads hops from the graph's per-source memo (``FilmGraph.hops``),
+so each judged film costs one BFS per graph, not one per request.
+``ego_centrality`` keeps its own BFS as the independent single-ego reference.
 """
 
 from __future__ import annotations
@@ -52,11 +57,7 @@ def ego_centrality(g: FilmGraph, ac: CentralityTable, candidate: str, ego: str) 
         raise KeyError(candidate)
     if ego not in g:
         raise KeyError(ego)
-    distances = hop_distances(g, ego)
-    return _ego_score(ac, candidate, ego, distances.get(candidate))
-
-
-def _ego_score(ac: CentralityTable, candidate: str, ego: str, hops: int | None) -> EgoScore:
+    hops = hop_distances(g, ego).get(candidate)
     if hops is None:
         return EgoScore(candidate, ego, UNREACHABLE, 0.0)
     distance = max(hops, 1)  # self-distance is defined as 1
@@ -66,6 +67,23 @@ def _ego_score(ac: CentralityTable, candidate: str, ego: str, hops: int | None) 
 def recommendation_score(prefs: Iterable[float], nonprefs: Iterable[float]) -> float:
     """Sum of preferred-ego scores minus sum of non-preferred-ego scores."""
     return sum(prefs) - sum(nonprefs)
+
+
+def score_candidate(
+    g: FilmGraph, ac: CentralityTable, film: str, preferred: Iterable[str], non_preferred: Iterable[str]
+) -> float:
+    """The film's recommendation score against the given egos, summed in the
+    order given; egos outside the graph are skipped."""
+    value = ac.ac(film)
+
+    def toward(ego: str) -> float:
+        hops = g.hops(ego).get(film)
+        return 0.0 if hops is None else value / max(hops, 1)
+
+    return recommendation_score(
+        [toward(ego) for ego in preferred if ego in g],
+        [toward(ego) for ego in non_preferred if ego in g],
+    )
 
 
 def candidate_set(
@@ -100,21 +118,10 @@ def rank_for_user(
 ) -> RecommendationList:
     """Score every candidate against the user's full judged history."""
     candidates = candidate_set(clustering, profile, exclude_non_preferred=exclude_non_preferred)
-    egos = [*profile.preferred, *profile.non_preferred]
-    distances = {ego: hop_distances(g, ego) for ego in egos if ego in g}
-    scored = []
-    for film in candidates:
-        prefs = [
-            _ego_score(ac, film, ego, distances[ego].get(film)).value
-            for ego in profile.preferred
-            if ego in distances
-        ]
-        nonprefs = [
-            _ego_score(ac, film, ego, distances[ego].get(film)).value
-            for ego in profile.non_preferred
-            if ego in distances
-        ]
-        scored.append((film, recommendation_score(prefs, nonprefs)))
+    scored = [
+        (film, score_candidate(g, ac, film, profile.preferred, profile.non_preferred))
+        for film in candidates
+    ]
     scored.sort(key=lambda pair: (-pair[1], ident_sort_key(pair[0])))
     return RecommendationList(profile.user_id, tuple(scored))
 

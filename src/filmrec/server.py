@@ -6,8 +6,9 @@ Three endpoints over one immutable artifact snapshot:
     GET /v1/users/{user_id}/recommendations?k=N
     GET /v1/films/{film_id}/similar?k=N
 
-Requests never mutate anything, so the threading server can answer them
-concurrently without locks.
+The threading server answers them concurrently without locks. The only
+shared write is the graph's hop-distance memo (``FilmGraph.hops``): each key
+gets a deterministic value, so a race on a cold key only repeats one BFS.
 """
 
 from __future__ import annotations

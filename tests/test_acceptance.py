@@ -28,6 +28,7 @@ from filmrec import (
     louvain,
     planted_film_clusters,
     rank_for_user,
+    recommend,
     recommendation_score,
     run_pipeline,
     split_users,
@@ -308,3 +309,37 @@ def test_criterion_10_golden_payload_hash(default_synthetic, tmp_path):
     payload = run_pipeline(events_path, PipelineConfig()).payload_without_timestamp()
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_PAYLOAD_SHA256
+
+
+def _criterion_10_artifact(view, tmp_path, config):
+    events_path = tmp_path / "events.csv"
+    lines = ["film_id,user_id,watch_seconds,total_seconds"]
+    for event in view_to_events(view):
+        lines.append(f"{event.film_id},{event.user_id},{event.watch_seconds!r},{event.total_seconds!r}")
+    events_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return run_pipeline(events_path, config)
+
+
+# sha256 of the canonical JSON of every profile user's full recommendation
+# list (k = film count, scores as float.hex) for the criterion-10 fixture, at
+# the default complete graph and at a sparse threshold where hop distances
+# exceed 1 and some egos are unreachable. Recorded before the ranking and the
+# evaluation policy shared one scorer; any change to a score's bits or to the
+# order changes it.
+GOLDEN_RANKING_SHA256 = {
+    0.0: "db3861215468aba60d1acfb2a3ebf5a67836bc5a56d3a96c1b44f61cfbe23cd1",
+    0.35: "89189904b4bcf2248bc2dad7b8f4b624f1a162e4203d18ebd508f7ea161dee55",
+}
+
+
+@criterion("criterion 10 (golden ranking hash)")
+@pytest.mark.parametrize("edge_threshold", sorted(GOLDEN_RANKING_SHA256))
+def test_criterion_10_golden_ranking_hash(default_synthetic, tmp_path, edge_threshold):
+    artifact = _criterion_10_artifact(default_synthetic, tmp_path, PipelineConfig(edge_threshold=edge_threshold))
+    k = len(artifact.similarity.films)
+    document = {
+        user: [[film, score.hex()] for film, score in recommend(artifact, user, k).entries]
+        for user in artifact.profiles
+    }
+    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_RANKING_SHA256[edge_threshold]

@@ -189,6 +189,57 @@ class TestArtifactSerialization:
         with pytest.raises(DataError, match=message):
             PipelineArtifact.load(path)
 
+    @staticmethod
+    def _corrupt_value(payload, corruption):
+        films = payload["films"]
+        similarity = payload["similarity"]
+        if corruption == "similarity_diagonal_7":
+            similarity[0][0] = 7.0
+        elif corruption == "similarity_off_graph_negative":
+            # both mirror cells, and the edge dropped, so the stored graph
+            # still equals the one the similarity and threshold produce
+            similarity[0][1] = similarity[1][0] = -3.0
+            payload["edges"] = [e for e in payload["edges"] if {e[0], e[1]} != {films[0], films[1]}]
+        elif corruption == "similarity_nan":
+            similarity[2][2] = float("nan")
+        elif corruption == "similarity_inf":
+            similarity[1][2] = similarity[2][1] = float("inf")
+        elif corruption == "similarity_asymmetric":
+            similarity[2][1] = similarity[1][2] / 2  # the graph reads only the upper triangle
+        elif corruption == "similarity_fractional_diagonal":
+            similarity[0][0] = 0.5
+        elif corruption == "modularity_nan":
+            payload["clustering"]["modularity"] = float("nan")
+        elif corruption == "modularity_string":
+            payload["clustering"]["modularity"] = "x"
+        elif corruption == "centrality_component_above_one":
+            payload["centrality"][films[0]][1] = 1.5
+        elif corruption == "centrality_component_nan":
+            payload["centrality"][films[0]][0] = float("nan")
+
+    @pytest.mark.parametrize(
+        "corruption, message",
+        [
+            ("similarity_diagonal_7", "similarity"),
+            ("similarity_off_graph_negative", "similarity"),
+            ("similarity_nan", "similarity"),
+            ("similarity_inf", "similarity"),
+            ("similarity_asymmetric", "symmetric"),
+            ("similarity_fractional_diagonal", "diagonal"),
+            ("modularity_nan", "modularity"),
+            ("modularity_string", "modularity"),
+            ("centrality_component_above_one", "centrality"),
+            ("centrality_component_nan", "centrality"),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, tmp_path, small_artifact, corruption, message):
+        path = tmp_path / "artifact.json"
+        payload = small_artifact.to_payload()
+        self._corrupt_value(payload, corruption)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=message):
+            PipelineArtifact.load(path)
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("not json at all {")

@@ -1,19 +1,32 @@
 import random
+from collections import Counter
 
 import pytest
+
+import filmrec.evaluation
+import filmrec.graph
+import filmrec.ranking
 
 from filmrec import (
     CentralityTable,
     Clustering,
     ColdStartRequired,
     DomainError,
+    EgoGraphPolicy,
     FilmGraph,
+    PipelineConfig,
     PreferenceProfile,
+    SyntheticSpec,
     candidate_set,
     ego_centrality,
+    evaluate_method,
+    generate_synthetic,
     rank_cold_start,
     rank_for_user,
+    recommend,
     recommendation_score,
+    run_pipeline_from_view,
+    split_users,
 )
 from filmrec.ranking import UNREACHABLE
 
@@ -255,6 +268,75 @@ class TestRankingProperties:
             original = rank_for_user(g, table, clustering, profile)
             rescaled = rank_for_user(g, scaled_table, clustering, profile)
             assert original.films() == rescaled.films()
+
+
+def sparse_scenario(rng: random.Random):
+    """A 20-60 node graph of a few sparse blocks, so hop distances exceed 1,
+    some egos are unreachable and some films are isolated. The profile lists
+    its films in shuffled order and may name a film outside the graph."""
+    n = rng.randint(20, 60)
+    nodes = [str(i + 1) for i in range(n)]
+    block = {node: rng.randrange(3) for node in nodes}
+    p = rng.uniform(1.0, 3.0) / n * 3
+    edges = [
+        (a, b, rng.uniform(0.05, 1.0))
+        for i, a in enumerate(nodes)
+        for b in nodes[i + 1 :]
+        if block[a] == block[b] and rng.random() < p
+    ]
+    g = FilmGraph(nodes, edges)
+    table = table_of({node: rng.uniform(0.0, 1.0) for node in nodes})
+    clustering = Clustering({node: rng.randrange(2) for node in nodes}, 0.0)
+    judged = rng.sample(nodes, rng.randint(2, n // 2))
+    cut = rng.randint(1, len(judged) - 1)
+    preferred, non_preferred = judged[:cut], judged[cut:]
+    if rng.random() < 0.3:
+        non_preferred.append("outside")
+    return g, table, clustering, PreferenceProfile("u", tuple(preferred), tuple(non_preferred))
+
+
+class TestScoreOracle:
+    def test_scores_equal_ego_centrality_sums_bit_for_bit(self):
+        rng = random.Random(83)
+        seen = Counter()
+        for _ in range(60):
+            g, table, clustering, profile = sparse_scenario(rng)
+            ranked = rank_for_user(g, table, clustering, profile)
+            for film, score in ranked.entries:
+                prefs = [ego_centrality(g, table, film, ego) for ego in profile.preferred if ego in g]
+                nonprefs = [ego_centrality(g, table, film, ego) for ego in profile.non_preferred if ego in g]
+                expected = recommendation_score([s.value for s in prefs], [s.value for s in nonprefs])
+                assert score.hex() == expected.hex()
+                seen["unreachable"] += any(s.distance is UNREACHABLE for s in prefs + nonprefs)
+                seen["far"] += any(s.distance is not None and s.distance > 1 for s in prefs + nonprefs)
+                seen["non_preferred"] += film in profile.non_preferred
+        assert seen["unreachable"] and seen["far"] and seen["non_preferred"]
+
+
+def test_one_bfs_per_source_per_graph(monkeypatch):
+    """Serving every user and evaluating the ego policy run each graph's BFS
+    at most once per source film."""
+    calls = Counter()
+    graphs = []
+    real = filmrec.graph.hop_distances
+
+    def counting(g, source):
+        graphs.append(g)  # keeps ids unique while counting
+        calls[(id(g), source)] += 1
+        return real(g, source)
+
+    # every module-level name of the BFS, so a private import is counted too
+    for module in (filmrec.graph, filmrec.ranking, filmrec.evaluation):
+        if hasattr(module, "hop_distances"):
+            monkeypatch.setattr(module, "hop_distances", counting)
+    view = generate_synthetic(SyntheticSpec(film_count=30, user_count=90, planted_cluster_count=3, seed=5))
+    artifact = run_pipeline_from_view(view, PipelineConfig(edge_threshold=0.3))
+    for user in artifact.profiles:
+        recommend(artifact, user, 5)
+    train, test = split_users(view, 80, 0.7, 2)
+    report = evaluate_method(EgoGraphPolicy(edge_threshold=0.3), train, test)
+    assert report.judgments and len(set(id(g) for g in graphs)) == 2
+    assert max(calls.values()) == 1
 
 
 class TestColdStart:

@@ -1,11 +1,12 @@
 import json
+import random
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from filmrec import PipelineConfig, SyntheticSpec, generate_synthetic, run_pipeline_from_view
+from filmrec import PipelineArtifact, PipelineConfig, SyntheticSpec, generate_synthetic, recommend, run_pipeline_from_view
 from filmrec.server import create_server, parse_bind
 
 
@@ -98,6 +99,57 @@ def test_malformed_k_400(base_url):
 def test_unknown_route_404(base_url):
     status, _ = get_error(f"{base_url}/v2/anything")
     assert status == 404
+
+
+def test_concurrent_requests_on_a_cold_memo_match_sequential(tmp_path):
+    """Four clients at once against a freshly loaded artifact, whose hop
+    memo is empty, get exactly the bodies a sequential in-process recommend
+    gives."""
+    view = generate_synthetic(SyntheticSpec(film_count=40, user_count=120, seed=13))
+    path = tmp_path / "artifact.json"
+    run_pipeline_from_view(view, PipelineConfig(edge_threshold=0.3)).save(path)
+    reference = PipelineArtifact.load(path)
+    users = [user for user, profile in reference.profiles.items() if profile.preferred]
+    k = len(reference.similarity.films)
+    expected = {
+        user: {
+            "user_id": user,
+            "cold_start": False,
+            "items": [{"film_id": f, "score": s} for f, s in recommend(reference, user, k).entries],
+        }
+        for user in users
+    }
+
+    server = create_server(PipelineArtifact.load(path), "127.0.0.1", 0)
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    host, port = server.server_address[:2]
+    start = threading.Barrier(4)
+    bodies: dict[int, list] = {}
+
+    def client(index: int) -> None:
+        order = users[:]
+        random.Random(index).shuffle(order)
+        start.wait()
+        bodies[index] = [
+            (user, get(f"http://{host}:{port}/v1/users/{user}/recommendations?k={k}")) for user in order
+        ]
+
+    clients = [threading.Thread(target=client, args=(i,)) for i in range(4)]
+    try:
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=60)
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=5)
+    assert sorted(bodies) == [0, 1, 2, 3]
+    for responses in bodies.values():
+        assert len(responses) == len(users)
+        for user, (status, payload) in responses:
+            assert status == 200 and payload == expected[user]
 
 
 def test_parse_bind():
