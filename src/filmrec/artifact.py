@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .community import Clustering
-from .config import PipelineConfig
-from .errors import DataError
+from .config import PipelineConfig, validate_config
+from .errors import DataError, DomainError
 from .graph import CentralityRow, CentralityTable, FilmGraph, average_centrality, build_graph
 from .profiles import PreferenceProfile
 from .similarity import SimilarityMatrix
@@ -97,6 +97,8 @@ class PipelineArtifact:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PipelineArtifact":
+        if not isinstance(payload, dict):
+            raise DataError(f"artifact is not a JSON object: {type(payload).__name__}")
         version = payload.get("format_version")
         if not isinstance(version, int):
             raise DataError("artifact missing integer format_version")
@@ -104,6 +106,9 @@ class PipelineArtifact:
             raise DataError(
                 f"artifact format_version {version} is newer than supported {FORMAT_VERSION}"
             )
+        for section in ("config", "centrality", "clustering", "profiles"):
+            if not isinstance(payload.get(section), dict):
+                raise DataError(f"malformed artifact payload: {section} is not an object")
         try:
             config = PipelineConfig.from_dict(payload["config"])
             films = tuple(payload["films"])
@@ -143,12 +148,17 @@ class PipelineArtifact:
         return artifact
 
     def validate(self) -> None:
-        """Cheap self-consistency checks: the similarity is symmetric, in
-        [0, 1] and has a 0.0/1.0 diagonal; the modularity and the centrality
+        """Cheap self-consistency checks: the config passes
+        ``validate_config``; the similarity is symmetric, in [0, 1] and has
+        a 0.0/1.0 diagonal; the modularity and the centrality
         components are finite and in range; clustering and centrality cover
         exactly the film set with dense cluster ids; profiles name only known
         films; the stored graph and average-centrality column are exactly
         what the similarity, threshold and components produce."""
+        try:
+            validate_config(self.config)
+        except DomainError as exc:
+            raise DataError(f"artifact config: {exc}")
         values = self.similarity.values
         if not np.all((values >= 0.0) & (values <= 1.0)):
             raise DataError("artifact similarity has an entry that is not finite or outside [0, 1]")

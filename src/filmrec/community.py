@@ -14,14 +14,13 @@ self-loops) and repeat until no move helps.
 Everything is deterministic by construction: sweeps visit nodes in ascending
 film order, gain ties keep the current cluster, ties between target clusters
 pick the lowest cluster id, and super-nodes are renumbered by their smallest
-member after every aggregation. The ``seed`` only matters when
-``randomize_order`` is enabled.
+member after every aggregation. ``louvain`` takes no randomness: its
+``seed`` argument is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import csv
-import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, TextIO
 
@@ -98,7 +97,6 @@ def louvain(
     g: FilmGraph,
     seed: int = 0,
     *,
-    randomize_order: bool = False,
     on_improve: Callable[[float], None] | None = None,
     verify_gains: bool = False,
 ) -> Clustering:
@@ -107,7 +105,8 @@ def louvain(
     ``on_improve`` receives the running modularity after every accepted
     move (useful for asserting monotonicity). ``verify_gains`` cross-checks
     every incremental gain against a full recomputation; it is meant for
-    tests and debugging, not production runs.
+    tests and debugging, not production runs. ``seed`` does not affect
+    the result; it is kept for callers that pass one.
     """
     n = g.node_count()
     if n == 0:
@@ -118,8 +117,6 @@ def louvain(
     if total_weight == 0.0:
         assignment = {node: i for i, node in enumerate(g.nodes)}
         return Clustering(assignment, 0.0)
-
-    rng = random.Random(seed)
 
     # Level graph state: nodes 0..m-1, adjacency without self-edges, separate
     # self-loop weights, and the original node indices each level node holds.
@@ -147,10 +144,7 @@ def louvain(
         moved_in_level = False
         while True:
             moved_in_sweep = False
-            sweep_order = list(range(m))
-            if randomize_order:
-                rng.shuffle(sweep_order)
-            for i in sweep_order:
+            for i in range(m):
                 current = comm[i]
                 weight_to: dict[int, float] = {}
                 for j, weight in adj[i].items():

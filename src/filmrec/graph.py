@@ -6,7 +6,7 @@ path-based measures run on unweighted hop counts over the thresholded graph:
 distances downstream are defined as link counts, so hops are the consistent
 metric. Betweenness sums over ordered source/target pairs and is scaled by
 1/n^2; closeness uses reachable-set scaling so disconnected graphs stay in
-[0, 1].
+[0, 1]. Both, and ranking, share one BFS per source through ``FilmGraph.hops``.
 """
 
 from __future__ import annotations
@@ -88,7 +88,9 @@ def build_graph(sim: SimilarityMatrix, edge_threshold: float = 0.0) -> FilmGraph
 
 
 def hop_distances(g: FilmGraph, source: str) -> dict[str, int]:
-    """BFS hop counts from source to every reachable node (source included)."""
+    """BFS hop counts from source to every reachable node (source included),
+    in BFS dequeue order (neighbours in adjacency order), so distances never
+    decrease along the dict; betweenness walks it as its BFS order."""
     if source not in g:
         raise KeyError(source)
     dist = {source: 0}
@@ -130,9 +132,9 @@ def betweenness_centrality(g: FilmGraph) -> dict[str, float]:
     """Fraction of shortest paths passing through each node, summed over all
     ordered (source, target) pairs and scaled by 1/n^2.
 
-    Single-source accumulation (one BFS per source with dependency
-    back-propagation); each source's pass contributes that source's ordered
-    pairs, so no doubling correction is needed.
+    Brandes' accumulation over each source's memoised ``g.hops`` (its BFS
+    order and distances); each source's pass contributes that source's
+    ordered pairs, so no doubling correction is needed.
     """
     nodes = g.nodes
     n = len(nodes)
@@ -140,25 +142,17 @@ def betweenness_centrality(g: FilmGraph) -> dict[str, float]:
         raise DomainError("empty graph")
     score = {node: 0.0 for node in nodes}
     for source in nodes:
-        stack: list[str] = []
-        predecessors: dict[str, list[str]] = {node: [] for node in nodes}
-        sigma = {node: 0.0 for node in nodes}
+        dist = g.hops(source)
+        predecessors: dict[str, list[str]] = {node: [] for node in dist}
+        sigma = dict.fromkeys(dist, 0.0)
         sigma[source] = 1.0
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
+        for v in dist:
             for w in g.adjacency[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     predecessors[w].append(v)
-        delta = {node: 0.0 for node in nodes}
-        while stack:
-            w = stack.pop()
+        delta = dict.fromkeys(dist, 0.0)
+        for w in reversed(dist):
             for v in predecessors[w]:
                 delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
             if w != source:

@@ -41,7 +41,7 @@ def run_pipeline_from_view(view: ViewMatrix, config: PipelineConfig) -> Pipeline
     with _stage("centrality"):
         centrality = CentralityTable.compute(graph)
     with _stage("cluster"):
-        clustering = louvain(graph, config.seed)
+        clustering = louvain(graph)
     with _stage("profiles"):
         profiles = build_profiles(view, config.preference_threshold)
     return PipelineArtifact.build(config, similarity, graph, centrality, clustering, profiles)

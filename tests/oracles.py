@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's fast paths: betweenness is checked by
-explicitly enumerating every shortest path per ordered node pair, modularity
-maxima by scoring every set partition, and averaged similarity by
-materializing the full per-user dual-similarity tensor before aggregating,
-or by the scalar films x films x users loop.
+explicitly enumerating every shortest path per ordered node pair, or bit for
+bit by a Brandes pass with its own BFS, modularity maxima by scoring every
+set partition, and averaged similarity by materializing the full per-user
+dual-similarity tensor before aggregating, or by the scalar films x films x
+users loop.
 """
 
 from __future__ import annotations
@@ -63,6 +64,56 @@ def brute_force_betweenness(g: FilmGraph) -> dict[str, float]:
     return {v: value / (n * n) for v, value in score.items()}
 
 
+def dict_bfs_betweenness(g: FilmGraph) -> dict[str, float]:
+    """Brandes betweenness with a private dict BFS per source, as the library
+    computed it before betweenness read the shared hop memo; the library must
+    match it bit for bit."""
+    nodes = g.nodes
+    n = len(nodes)
+    score = {node: 0.0 for node in nodes}
+    for source in nodes:
+        stack: list[str] = []
+        predecessors: dict[str, list[str]] = {node: [] for node in nodes}
+        sigma = {node: 0.0 for node in nodes}
+        sigma[source] = 1.0
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in g.adjacency[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    predecessors[w].append(v)
+        delta = {node: 0.0 for node in nodes}
+        while stack:
+            w = stack.pop()
+            for v in predecessors[w]:
+                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+            if w != source:
+                score[w] += delta[w]
+    scale = 1.0 / (n * n)
+    return {node: value * scale for node, value in score.items()}
+
+
+def bfs_pop_order(g: FilmGraph, source: str) -> list[str]:
+    """Nodes reachable from source in the order a FIFO BFS dequeues them."""
+    seen = {source}
+    queue = deque([source])
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in g.adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return order
+
+
 def set_partitions(items: list):
     if not items:
         yield []
@@ -92,6 +143,25 @@ def random_graph(rng: random.Random, max_nodes: int = 8, unit_weights: bool = Fa
             if rng.random() < p:
                 weight = 1.0 if unit_weights else rng.uniform(0.05, 1.0)
                 edges.append((nodes[i], nodes[j], weight))
+    return FilmGraph(nodes, edges)
+
+
+def component_graph(rng: random.Random) -> FilmGraph:
+    """A 20-60 node graph of one to four blocks with edges only inside a
+    block, plus zero to three isolates, at a density drawn from sparse (long
+    hop paths, several components per block) to dense."""
+    n = rng.randint(20, 60)
+    nodes = [str(i + 1) for i in range(n)]
+    isolates = set(rng.sample(nodes, rng.randint(0, 3)))
+    blocks = rng.randint(1, 4)
+    block = {node: rng.randrange(blocks) for node in nodes}
+    p = rng.uniform(1.5 / n, 0.6)
+    edges = [
+        (a, b, rng.uniform(0.05, 1.0))
+        for i, a in enumerate(nodes)
+        for b in nodes[i + 1 :]
+        if block[a] == block[b] and a not in isolates and b not in isolates and rng.random() < p
+    ]
     return FilmGraph(nodes, edges)
 
 

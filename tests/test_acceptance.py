@@ -343,3 +343,19 @@ def test_criterion_10_golden_ranking_hash(default_synthetic, tmp_path, edge_thre
     }
     text = json.dumps(document, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_RANKING_SHA256[edge_threshold]
+
+
+# sha256 of the canonical JSON of payload_without_timestamp() for the
+# criterion-10 fixture at a sparse threshold. Every betweenness value of the
+# default complete graph is 0.0, so GOLDEN_PAYLOAD_SHA256 cannot see a change
+# to the Brandes pass; here 59 of the 80 films have non-zero betweenness.
+# Recorded before betweenness read the shared hop-distance memo.
+GOLDEN_SPARSE_PAYLOAD_SHA256 = "651be6be23fc371df8c573f5251821fcf2101ee13c22c51543961fb7e2f711c1"
+
+
+@criterion("criterion 10 (golden payload hash, sparse graph)")
+def test_criterion_10_golden_payload_hash_sparse(default_synthetic, tmp_path):
+    artifact = _criterion_10_artifact(default_synthetic, tmp_path, PipelineConfig(edge_threshold=0.35))
+    assert sum(row.betweenness_c > 0.0 for row in artifact.centrality.rows.values()) == 59
+    text = json.dumps(artifact.payload_without_timestamp(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SPARSE_PAYLOAD_SHA256

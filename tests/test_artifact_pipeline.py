@@ -254,6 +254,34 @@ class TestArtifactSerialization:
         with pytest.raises(DataError, match="malformed"):
             PipelineArtifact.load(path)
 
+    @pytest.mark.parametrize("document", ["[]", "null", "1", '"x"'])
+    def test_non_object_document_rejected(self, tmp_path, document):
+        path = tmp_path / "artifact.json"
+        path.write_text(document)
+        with pytest.raises(DataError, match="object"):
+            PipelineArtifact.load(path)
+
+    @pytest.mark.parametrize("section", ["config", "centrality", "clustering", "profiles"])
+    def test_list_section_rejected(self, tmp_path, small_artifact, section):
+        path = tmp_path / "artifact.json"
+        payload = small_artifact.to_payload()
+        payload[section] = []
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="malformed"):
+            PipelineArtifact.load(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("preference_threshold", 0.0), ("preference_threshold", 1.0), ("edge_threshold", 5), ("edge_threshold", -0.1)],
+    )
+    def test_out_of_domain_config_rejected(self, tmp_path, small_artifact, key, value):
+        path = tmp_path / "artifact.json"
+        payload = small_artifact.to_payload()
+        payload["config"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=key):
+            PipelineArtifact.load(path)
+
 
 class TestRecommend:
     def test_known_user_gets_cluster_candidates(self, small_artifact):

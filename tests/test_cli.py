@@ -139,6 +139,14 @@ def test_bad_data_exits_two(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("document", ["[]", '{"format_version": 1, "config": []}'])
+def test_malformed_artifact_exits_two(tmp_path, capsys, document):
+    artifact_path = tmp_path / "artifact.json"
+    artifact_path.write_text(document)
+    assert main(["recommend", str(artifact_path), "--user", "u1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_eval_method_exits_two(events_file, capsys):
     assert main(["evaluate", str(events_file), "--methods", "astrology"]) == 2
 

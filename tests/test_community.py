@@ -112,10 +112,3 @@ class TestLouvain:
         clustering = louvain(g)
         others = {clustering.assignment["a"], clustering.assignment["b"]}
         assert clustering.assignment["z"] not in others
-
-    def test_randomized_order_mode_is_seed_deterministic(self):
-        g = two_triangles()
-        a = louvain(g, seed=123, randomize_order=True)
-        b = louvain(g, seed=123, randomize_order=True)
-        assert a == b
-        assert a.modularity == pytest.approx(0.5, abs=1e-12)

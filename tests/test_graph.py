@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import filmrec.graph
 from filmrec import (
     CentralityTable,
     DomainError,
@@ -17,7 +19,7 @@ from filmrec import (
 )
 from filmrec.graph import hop_distances
 
-from oracles import brute_force_betweenness, random_graph
+from oracles import bfs_pop_order, brute_force_betweenness, component_graph, dict_bfs_betweenness, random_graph
 
 
 def star() -> FilmGraph:
@@ -155,6 +157,21 @@ class TestBetweenness:
         g = FilmGraph(list("abcd"), [("a", "b", 1.0), ("c", "d", 1.0)])
         assert all(value == 0.0 for value in betweenness_centrality(g).values())
 
+    def test_bit_identical_to_dict_bfs_brandes(self):
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(30):
+            g = component_graph(rng)
+            fast = betweenness_centrality(g)
+            reference = dict_bfs_betweenness(g)
+            assert list(fast) == list(reference)
+            assert [value.hex() for value in fast.values()] == [value.hex() for value in reference.values()]
+            components = {frozenset(hop_distances(g, node)) for node in g.nodes}
+            seen["isolates"] += any(len(c) == 1 for c in components)
+            seen["several_components"] += sum(len(c) > 1 for c in components) > 1
+            seen["nonzero"] += any(value > 0.0 for value in fast.values())
+        assert seen["isolates"] and seen["several_components"] and seen["nonzero"]
+
 
 class TestAverageCentrality:
     def test_published_row_51(self):
@@ -216,3 +233,44 @@ def test_hop_distances():
     assert hop_distances(g, "a") == {"a": 0, "b": 1, "c": 2}
     with pytest.raises(KeyError):
         hop_distances(g, "zz")
+
+
+def test_hop_distances_iterate_in_bfs_pop_order():
+    """Betweenness walks the memoised dict as its BFS order, so the dict's
+    order must be the FIFO dequeue order, with non-decreasing distances."""
+    rng = random.Random(71)
+    for _ in range(10):
+        g = component_graph(rng)
+        for source in g.nodes:
+            dist = hop_distances(g, source)
+            assert list(dist) == bfs_pop_order(g, source)
+            distances = list(dist.values())
+            assert distances == sorted(distances)
+
+
+def count_bfs(monkeypatch) -> Counter:
+    calls = Counter()
+    real = filmrec.graph.hop_distances
+
+    def counting(g, source):
+        calls[source] += 1
+        return real(g, source)
+
+    monkeypatch.setattr(filmrec.graph, "hop_distances", counting)
+    return calls
+
+
+class TestOneBfsPerSource:
+    def test_table_runs_one_bfs_per_node(self, monkeypatch):
+        g = component_graph(random.Random(73))
+        calls = count_bfs(monkeypatch)
+        CentralityTable.compute(g)
+        assert calls == Counter(g.nodes)
+
+    def test_closeness_after_betweenness_runs_no_bfs(self, monkeypatch):
+        g = component_graph(random.Random(79))
+        betweenness_centrality(g)
+        calls = count_bfs(monkeypatch)
+        for node in g.nodes:
+            closeness_centrality(g, node)
+        assert not calls
