@@ -12,14 +12,13 @@ format version.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .community import Clustering
+from .community import Clustering, modularity_score
 from .config import PipelineConfig, validate_config
 from .errors import DataError, DomainError
 from .graph import CentralityRow, CentralityTable, FilmGraph, average_centrality, build_graph
@@ -100,7 +99,7 @@ class PipelineArtifact:
         if not isinstance(payload, dict):
             raise DataError(f"artifact is not a JSON object: {type(payload).__name__}")
         version = payload.get("format_version")
-        if not isinstance(version, int):
+        if not isinstance(version, int) or isinstance(version, bool):
             raise DataError("artifact missing integer format_version")
         if version > FORMAT_VERSION:
             raise DataError(
@@ -134,6 +133,8 @@ class PipelineArtifact:
             created_at = payload["created_at"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed artifact payload: {exc!r}")
+        if not isinstance(created_at, str):
+            raise DataError(f"artifact created_at is not a string: {created_at!r}")
         artifact = cls(
             version,
             config,
@@ -150,11 +151,11 @@ class PipelineArtifact:
     def validate(self) -> None:
         """Cheap self-consistency checks: the config passes
         ``validate_config``; the similarity is symmetric, in [0, 1] and has
-        a 0.0/1.0 diagonal; the modularity and the centrality
-        components are finite and in range; clustering and centrality cover
-        exactly the film set with dense cluster ids; profiles name only known
-        films; the stored graph and average-centrality column are exactly
-        what the similarity, threshold and components produce."""
+        a 0.0/1.0 diagonal; the centrality components are in range;
+        clustering and centrality cover exactly the film set with dense
+        cluster ids; profiles name only known films; the stored graph, the
+        modularity and the average-centrality column are exactly what the
+        similarity, threshold, partition and components produce."""
         try:
             validate_config(self.config)
         except DomainError as exc:
@@ -166,9 +167,6 @@ class PipelineArtifact:
             raise DataError("artifact similarity is not symmetric")
         if not np.isin(values.diagonal(), (0.0, 1.0)).all():
             raise DataError("artifact similarity diagonal holds a value other than 0.0 or 1.0")
-        modularity = self.clustering.modularity
-        if not (isinstance(modularity, float) and math.isfinite(modularity)):
-            raise DataError(f"artifact modularity is not a finite float: {modularity!r}")
         films = set(self.similarity.films)
         if set(self.clustering.assignment) != films:
             raise DataError("artifact clustering does not cover exactly the film set")
@@ -185,6 +183,9 @@ class PipelineArtifact:
         rebuilt_edges = {(a, b): w for a, b, w in rebuilt.edges()}
         if stored_edges != rebuilt_edges:
             raise DataError("artifact graph does not match similarity matrix and threshold")
+        modularity = self.clustering.modularity
+        if not isinstance(modularity, float) or modularity != modularity_score(rebuilt, self.clustering.assignment):
+            raise DataError(f"artifact modularity {modularity!r} is not the modularity of the stored partition")
         for film, row in self.centrality.rows.items():
             components = (row.degree_c, row.closeness_c, row.betweenness_c)
             if not all(isinstance(c, float) and 0.0 <= c <= 1.0 for c in components):

@@ -224,12 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="filmrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def stage(name: str, help_text: str, func, *, needs_config=True):
+    def stage(name: str, help_text: str, func):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("events", help="events CSV (film_id,user_id,watch_seconds,total_seconds)")
         p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
-        if needs_config:
-            _add_config_options(p)
+        _add_config_options(p)
         p.set_defaults(func=func)
         return p
 

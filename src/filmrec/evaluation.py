@@ -54,6 +54,8 @@ def split_users(
     Films are shared across both sides; only the user pools differ. The same
     seed always produces the same split.
     """
+    if sample_size < 1:
+        raise DomainError(f"sample_size must be at least 1, got {sample_size}")
     if sample_size > len(view.users):
         raise DomainError(f"sample_size {sample_size} exceeds user count {len(view.users)}")
     if not 0.0 < train_fraction < 1.0:
@@ -208,9 +210,8 @@ class EgoGraphPolicy:
         averaging_policy: AveragingPolicy = AveragingPolicy.COMPARABLE_COUNT,
         edge_threshold: float = 0.0,
         preference_threshold: float = 0.5,
-        name: str = "ego_graph",
     ):
-        self.name = name
+        self.name = "ego_graph"
         self.averaging_policy = averaging_policy
         self.edge_threshold = edge_threshold
         self.preference_threshold = preference_threshold

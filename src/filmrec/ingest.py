@@ -3,7 +3,10 @@
 The matrix stores, per (film, user), the fraction of the film's runtime the
 user actually watched. A pair that never occurs means "never watched", which
 is deliberately distinct from a stored 0.0 ("started but watched nothing");
-the similarity layer treats the two cases differently.
+the similarity layer treats the two cases differently. It keeps one store,
+keyed by user: each user's ``{film: pct}`` dict, with one string object per
+film id. A film's column (``film_views``) is gathered from the users on each
+call, at O(users) cost; a user restriction shares the kept users' dicts.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ def parse_events(stream: Iterable[str] | TextIO, *, skip_bad_rows: bool = False)
 
 
 class ViewMatrix:
-    """Sparse (film, user) -> viewing percentage map with deterministic
-    film/user orderings. Immutable after construction."""
+    """Sparse (film, user) -> viewing percentage map, stored once per user,
+    with deterministic film/user orderings. Immutable after construction."""
 
     def __init__(
         self,
@@ -96,20 +99,16 @@ class ViewMatrix:
         films: Iterable[str] | None = None,
         users: Iterable[str] | None = None,
     ):
-        film_set = set(films) if films is not None else set()
-        user_set = set(users) if users is not None else set()
-        by_film: dict[str, dict[str, float]] = {}
+        # one object per film id, so lookups across users' dicts match by identity
+        film_ids = {film: film for film in films or ()}
         by_user: dict[str, dict[str, float]] = {}
         for (film, user), value in entries.items():
             if not 0.0 <= value <= 1.0:
                 raise DataError(f"viewing percentage out of range for ({film}, {user}): {value}")
-            film_set.add(film)
-            user_set.add(user)
-            by_film.setdefault(film, {})[user] = value
+            film = film_ids.setdefault(film, film)
             by_user.setdefault(user, {})[film] = value
-        self._films = tuple(sorted(film_set, key=ident_sort_key))
-        self._users = tuple(sorted(user_set, key=ident_sort_key))
-        self._by_film = by_film
+        self._films = tuple(sorted(film_ids, key=ident_sort_key))
+        self._users = tuple(sorted(set(by_user).union(users or ()), key=ident_sort_key))
         self._by_user = by_user
 
     @property
@@ -122,34 +121,34 @@ class ViewMatrix:
 
     def pct(self, film: str, user: str) -> float | None:
         """Viewing percentage, or None if the user never watched the film."""
-        return self._by_film.get(film, {}).get(user)
+        return self._by_user.get(user, {}).get(film)
 
     def film_views(self, film: str) -> Mapping[str, float]:
-        return self._by_film.get(film, {})
+        """The film's watchers and percentages, gathered in O(users)."""
+        return {user: views[film] for user, views in self._by_user.items() if film in views}
 
     def user_views(self, user: str) -> Mapping[str, float]:
         return self._by_user.get(user, {})
 
     def entry_count(self) -> int:
-        return sum(len(v) for v in self._by_film.values())
+        return sum(len(v) for v in self._by_user.values())
 
     def entries(self) -> dict[tuple[str, str], float]:
         return {
             (film, user): value
-            for film, views in self._by_film.items()
-            for user, value in views.items()
+            for user, views in self._by_user.items()
+            for film, value in views.items()
         }
 
     def restrict_users(self, users: Iterable[str]) -> "ViewMatrix":
-        """Sub-matrix containing only the given users; the film list is kept
-        intact so both sides of a split share one film universe."""
+        """Sub-matrix of the given users, sharing their dicts; the film list
+        is kept intact so both sides of a split share one film universe."""
         keep = set(users)
-        sub = {
-            (film, user): value
-            for (film, user), value in self.entries().items()
-            if user in keep
-        }
-        return ViewMatrix(sub, films=self._films, users=keep)
+        sub = object.__new__(ViewMatrix)
+        sub._films = self._films
+        sub._users = tuple(sorted(keep, key=ident_sort_key))
+        sub._by_user = {user: views for user, views in self._by_user.items() if user in keep}
+        return sub
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ViewMatrix):
@@ -157,7 +156,7 @@ class ViewMatrix:
         return (
             self._films == other._films
             and self._users == other._users
-            and self._by_film == other._by_film
+            and self._by_user == other._by_user
         )
 
     def __repr__(self) -> str:

@@ -126,6 +126,7 @@ def average_similarity(
     # stored 0.0. ViewMatrix guarantees every stored value is in [0, 1].
     pct = np.zeros(n, dtype=np.float64)
     watched = np.zeros(n, dtype=bool)
+    seen = np.zeros(n, dtype=bool)
     for user in users:
         views = view.user_views(user)
         if not views:
@@ -135,6 +136,7 @@ def average_similarity(
         for film, value in views.items():
             pct[index[film]] = value
             watched[index[film]] = True
+        seen |= watched
         n_i = pct[rows]
         n_j = pct[cols]
         pair_sum = n_i + n_j
@@ -159,9 +161,7 @@ def average_similarity(
     values = np.zeros((n, n), dtype=np.float64)
     values[rows, cols] = averages
     values[cols, rows] = averages
-    for i, film in enumerate(films):
-        if view.film_views(film):
-            values[i, i] = 1.0
+    np.fill_diagonal(values, seen)
     return SimilarityMatrix(films, values)
 
 
@@ -171,10 +171,10 @@ def write_dual_similarity_csv(view: ViewMatrix, stream: TextIO) -> None:
     writer = csv.writer(stream)
     writer.writerow(["film_i", "film_j", "user", "ds"])
     films = view.films
+    film_views = [view.film_views(film) for film in films]
     for i, film_i in enumerate(films):
-        views_i = view.film_views(film_i)
-        for film_j in films[i + 1 :]:
-            views_j = view.film_views(film_j)
+        views_i = film_views[i]
+        for film_j, views_j in zip(films[i + 1 :], film_views[i + 1 :]):
             for user in view.users:
                 ds = dual_similarity(views_i.get(user), views_j.get(user))
                 writer.writerow([film_i, film_j, user, repr(ds)])

@@ -33,7 +33,7 @@ from filmrec import (
     run_pipeline,
     split_users,
 )
-from filmrec.evaluation import view_to_events
+from filmrec.evaluation import KnnPolicy, NaiveBayesPolicy, SplitSpec, view_to_events
 from filmrec.similarity import NOT_COMPARABLE, AveragingPolicy, average_similarity, dual_similarity
 
 from oracles import (
@@ -359,3 +359,21 @@ def test_criterion_10_golden_payload_hash_sparse(default_synthetic, tmp_path):
     assert sum(row.betweenness_c > 0.0 for row in artifact.centrality.rows.values()) == 59
     text = json.dumps(artifact.payload_without_timestamp(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SPARSE_PAYLOAD_SHA256
+
+
+# sha256 of the canonical JSON of the ego_graph (edge threshold 0.35), knn,
+# naive_bayes and random evaluation reports on the criterion-10 fixture, split
+# 100 users 70/30 with seed 4. Recorded while ViewMatrix still kept a second,
+# film-keyed copy of its entries; any change to a judgment, a score's bits or
+# the order of the judgments changes it.
+GOLDEN_EVAL_REPORT_SHA256 = "7b6b3324cb0b07ccf31dbe1281162213ea779bf5c76f1ae0c3447232bdff7ced"
+
+
+@criterion("criterion 10 (golden evaluation report hash)")
+def test_criterion_10_golden_eval_report_hash(default_synthetic):
+    split = SplitSpec(100, 0.7, 4)
+    train, test = split_users(default_synthetic, split.sample_size, split.train_fraction, split.seed)
+    policies = [EgoGraphPolicy(edge_threshold=0.35), KnnPolicy(5), NaiveBayesPolicy(), RandomScorePolicy(4)]
+    reports = [evaluate_method(policy, train, test, split=split).to_json_dict() for policy in policies]
+    text = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_EVAL_REPORT_SHA256

@@ -212,6 +212,10 @@ class TestArtifactSerialization:
             payload["clustering"]["modularity"] = float("nan")
         elif corruption == "modularity_string":
             payload["clustering"]["modularity"] = "x"
+        elif corruption == "modularity_1.5":
+            payload["clustering"]["modularity"] = 1.5
+        elif corruption == "modularity_plus_1e-3":
+            payload["clustering"]["modularity"] += 1e-3
         elif corruption == "centrality_component_above_one":
             payload["centrality"][films[0]][1] = 1.5
         elif corruption == "centrality_component_nan":
@@ -228,6 +232,8 @@ class TestArtifactSerialization:
             ("similarity_fractional_diagonal", "diagonal"),
             ("modularity_nan", "modularity"),
             ("modularity_string", "modularity"),
+            ("modularity_1.5", "modularity"),
+            ("modularity_plus_1e-3", "modularity"),
             ("centrality_component_above_one", "centrality"),
             ("centrality_component_nan", "centrality"),
         ],
@@ -236,6 +242,23 @@ class TestArtifactSerialization:
         path = tmp_path / "artifact.json"
         payload = small_artifact.to_payload()
         self._corrupt_value(payload, corruption)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=message):
+            PipelineArtifact.load(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("format_version", True, "format_version"),
+            ("created_at", [], "created_at"),
+            ("created_at", None, "created_at"),
+            ("created_at", 1, "created_at"),
+        ],
+    )
+    def test_mistyped_header_field_rejected(self, tmp_path, small_artifact, field, value, message):
+        path = tmp_path / "artifact.json"
+        payload = small_artifact.to_payload()
+        payload[field] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=message):
             PipelineArtifact.load(path)

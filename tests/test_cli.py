@@ -151,5 +151,10 @@ def test_unknown_eval_method_exits_two(events_file, capsys):
     assert main(["evaluate", str(events_file), "--methods", "astrology"]) == 2
 
 
+def test_negative_sample_size_exits_two(events_file, capsys):
+    assert main(["evaluate", str(events_file), "--sample-size", "-1"]) == 2
+    assert "sample_size" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0

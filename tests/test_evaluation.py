@@ -57,6 +57,11 @@ class TestSplitUsers:
         with pytest.raises(DomainError):
             split_users(synthetic_view(), 10_000, 0.7, 0)
 
+    @pytest.mark.parametrize("sample_size", [0, -1])
+    def test_sample_below_one(self, sample_size):
+        with pytest.raises(DomainError, match="sample_size"):
+            split_users(synthetic_view(), sample_size, 0.7, 0)
+
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2])
     def test_bad_fraction(self, fraction):
         with pytest.raises(DomainError):

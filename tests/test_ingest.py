@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from filmrec import DataError, FormatError, RowError, ViewingEvent, build_view_matrix, parse_events
+from filmrec import DataError, FormatError, RowError, ViewingEvent, ViewMatrix, build_view_matrix, parse_events
 from filmrec.ingest import ident_sort_key
 
 HEADER = "film_id,user_id,watch_seconds,total_seconds\n"
@@ -163,3 +163,52 @@ def test_restrict_users_keeps_film_universe():
     assert sub.films == view.films
     assert sub.users == ("a",)
     assert sub.pct("2", "b") is None
+
+
+VIEW_FILMS = ["1", "2", "10", "a"]
+VIEW_USERS = ["1", "7", "30", "b"]
+
+
+@given(
+    entries=st.dictionaries(
+        st.tuples(st.sampled_from(VIEW_FILMS), st.sampled_from(VIEW_USERS)),
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+        max_size=12,
+    ),
+    extra_films=st.sets(st.sampled_from(VIEW_FILMS)),
+    extra_users=st.sets(st.sampled_from(VIEW_USERS)),
+    keep=st.sets(st.sampled_from(VIEW_USERS)),
+)
+def test_view_matrix_reads_match_brute_force(entries, extra_films, extra_users, keep):
+    """Every read equals a scan of the input map, stored 0.0 values and ids
+    given only through films=/users= included, and a user restriction
+    equals building the matrix from the kept users' entries."""
+    view = ViewMatrix(entries, films=extra_films, users=extra_users)
+    films = extra_films | {film for film, _ in entries}
+    users = extra_users | {user for _, user in entries}
+    assert view.films == tuple(sorted(films, key=ident_sort_key))
+    assert view.users == tuple(sorted(users, key=ident_sort_key))
+    for film in VIEW_FILMS:
+        assert view.film_views(film) == {u: v for (f, u), v in entries.items() if f == film}
+        for user in VIEW_USERS:
+            assert view.pct(film, user) == entries.get((film, user))
+    for user in VIEW_USERS:
+        assert view.user_views(user) == {f: v for (f, u), v in entries.items() if u == user}
+    assert view.entries() == entries
+    assert view.entry_count() == len(entries)
+
+    sub = view.restrict_users(keep)
+    kept = {(film, user): value for (film, user), value in entries.items() if user in keep}
+    assert sub == ViewMatrix(kept, films=view.films, users=keep)
+    assert sub.entries() == kept
+
+
+def test_view_matrix_keeps_one_object_per_film_id():
+    """Equal film ids that arrive as distinct string objects are stored as
+    one object, so dict lookups across users match by identity."""
+    entries = {("".join(["1", "0"]), user): 0.5 for user in ("a", "b", "c")}
+    view = ViewMatrix(entries, films=["".join(["1", "0"])])
+    (film,) = view.films
+    for sub in (view, view.restrict_users(["a", "c"])):
+        for user in sub.users:
+            assert all(key is film for key in sub.user_views(user))
