@@ -11,7 +11,6 @@ from .artifact import FORMAT_VERSION, PipelineArtifact
 from .community import Clustering, louvain, modularity_score
 from .config import PipelineConfig, load_config
 from .errors import (
-    ColdStartRequired,
     DataError,
     DomainError,
     FilmRecError,
@@ -77,7 +76,6 @@ __all__ = [
     "modularity_score",
     "PipelineConfig",
     "load_config",
-    "ColdStartRequired",
     "DataError",
     "DomainError",
     "FilmRecError",

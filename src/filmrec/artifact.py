@@ -1,12 +1,14 @@
 """Versioned on-disk pipeline artifact.
 
-One JSON document holds everything the serving layer needs: the similarity
-matrix, the graph's edge list, the centrality table, the clustering, and the
-per-user preference profiles, together with the config snapshot that
-produced them. Serialization is canonical (sorted keys, shortest-round-trip
-floats), so the same pipeline state always produces the same bytes and a
-load/save cycle is lossless. Readers refuse documents written by a newer
-format version.
+One JSON document holds everything the serving layer needs. Its state is
+the config snapshot, the films, the similarity matrix, the three
+centrality components, the cluster assignment and the per-user preference
+profiles; it also stores the graph's edges, the average-centrality (AC)
+column and the modularity, which loading derives once from the state and
+requires the stored copies to equal. Serialization is canonical (sorted
+keys, shortest-round-trip floats), so the same state always produces the
+same bytes and a load/save cycle is byte-identical. Readers refuse
+documents written by a newer format version.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .community import Clustering, modularity_score
 from .config import PipelineConfig, validate_config
 from .errors import DataError, DomainError
-from .graph import CentralityRow, CentralityTable, FilmGraph, average_centrality, build_graph
+from .graph import CentralityTable, FilmGraph, build_graph
 from .profiles import PreferenceProfile
 from .similarity import SimilarityMatrix
 
@@ -96,6 +98,8 @@ class PipelineArtifact:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PipelineArtifact":
+        """Read and check the state, derive the graph, the AC column and the
+        modularity from it, and require the stored copies to equal them."""
         if not isinstance(payload, dict):
             raise DataError(f"artifact is not a JSON object: {type(payload).__name__}")
         version = payload.get("format_version")
@@ -110,85 +114,82 @@ class PipelineArtifact:
                 raise DataError(f"malformed artifact payload: {section} is not an object")
         try:
             config = PipelineConfig.from_dict(payload["config"])
-            films = tuple(payload["films"])
+            films = _film_ids(payload["films"], "films")
             values = np.array(payload["similarity"], dtype=np.float64)
             if values.shape != (len(films), len(films)):
                 raise DataError("similarity matrix shape does not match film list")
             similarity = SimilarityMatrix(films, values)
-            graph = FilmGraph(films, [(a, b, w) for a, b, w in payload["edges"]])
-            centrality = CentralityTable(
-                {
-                    film: CentralityRow(d, c, b, avg)
-                    for film, (d, c, b, avg) in payload["centrality"].items()
-                }
-            )
-            clustering = Clustering(
-                dict(payload["clustering"]["assignment"]),
-                payload["clustering"]["modularity"],
-            )
-            profiles = {
-                user: PreferenceProfile(user, tuple(entry["preferred"]), tuple(entry["non_preferred"]))
-                for user, entry in payload["profiles"].items()
-            }
+            components, stored_ac = {}, {}
+            for film, (d, c, b, avg) in payload["centrality"].items():
+                components[film] = (d, c, b)
+                stored_ac[film] = avg
+            assignment = dict(payload["clustering"]["assignment"])
+            stored_modularity = payload["clustering"]["modularity"]
+            stored_edges = payload["edges"]
+            profiles = {}
+            for user, entry in payload["profiles"].items():
+                what = f"profile for {user}"
+                preferred, non_preferred = _film_ids(entry["preferred"], what), _film_ids(entry["non_preferred"], what)
+                profiles[user] = PreferenceProfile(user, preferred, non_preferred)
             created_at = payload["created_at"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed artifact payload: {exc!r}")
         if not isinstance(created_at, str):
             raise DataError(f"artifact created_at is not a string: {created_at!r}")
-        artifact = cls(
-            version,
-            config,
-            similarity,
-            graph,
-            centrality,
-            clustering,
-            profiles,
-            created_at,
-        )
-        artifact.validate()
-        return artifact
+        _check_state(config, similarity, components, assignment, profiles)
+        graph = build_graph(similarity, config.edge_threshold)
+        centrality = CentralityTable.from_components(components)
+        clustering = Clustering(assignment, modularity_score(graph, assignment))
+        if stored_edges != [[a, b, weight] for a, b, weight in graph.edges()]:
+            raise DataError("artifact graph does not match similarity matrix and threshold")
+        if stored_ac != {film: row.avg_c for film, row in centrality.rows.items()}:
+            raise DataError("artifact average-centrality column is not the mean of the stored components")
+        if not isinstance(stored_modularity, float) or stored_modularity != clustering.modularity:
+            raise DataError(f"artifact modularity {stored_modularity!r} is not the modularity of the stored partition")
+        return cls(version, config, similarity, graph, centrality, clustering, profiles, created_at)
 
     def validate(self) -> None:
-        """Cheap self-consistency checks: the config passes
-        ``validate_config``; the similarity is symmetric, in [0, 1] and has
-        a 0.0/1.0 diagonal; the centrality components are in range;
-        clustering and centrality cover exactly the film set with dense
-        cluster ids; profiles name only known films; the stored graph, the
-        modularity and the average-centrality column are exactly what the
-        similarity, threshold, partition and components produce."""
-        try:
-            validate_config(self.config)
-        except DomainError as exc:
-            raise DataError(f"artifact config: {exc}")
-        values = self.similarity.values
-        if not np.all((values >= 0.0) & (values <= 1.0)):
-            raise DataError("artifact similarity has an entry that is not finite or outside [0, 1]")
-        if not np.array_equal(values, values.T):
-            raise DataError("artifact similarity is not symmetric")
-        if not np.isin(values.diagonal(), (0.0, 1.0)).all():
-            raise DataError("artifact similarity diagonal holds a value other than 0.0 or 1.0")
-        films = set(self.similarity.films)
-        if set(self.clustering.assignment) != films:
-            raise DataError("artifact clustering does not cover exactly the film set")
-        cluster_ids = set(self.clustering.assignment.values())
-        if cluster_ids != set(range(len(cluster_ids))):
-            raise DataError("artifact cluster ids are not dense from 0")
-        if set(self.centrality.rows) != films:
-            raise DataError("artifact centrality table does not cover exactly the film set")
-        for user, profile in self.profiles.items():
-            if not profile.watched() <= films:
-                raise DataError(f"artifact profile for {user} names films outside the film set")
-        rebuilt = build_graph(self.similarity, self.config.edge_threshold)
-        stored_edges = {(a, b): w for a, b, w in self.graph.edges()}
-        rebuilt_edges = {(a, b): w for a, b, w in rebuilt.edges()}
-        if stored_edges != rebuilt_edges:
-            raise DataError("artifact graph does not match similarity matrix and threshold")
-        modularity = self.clustering.modularity
-        if not isinstance(modularity, float) or modularity != modularity_score(rebuilt, self.clustering.assignment):
-            raise DataError(f"artifact modularity {modularity!r} is not the modularity of the stored partition")
-        for film, row in self.centrality.rows.items():
-            components = (row.degree_c, row.closeness_c, row.betweenness_c)
-            if not all(isinstance(c, float) and 0.0 <= c <= 1.0 for c in components):
-                raise DataError(f"artifact centrality row for {film} has a component outside [0, 1]")
-            if row.avg_c != average_centrality(*components):
-                raise DataError(f"artifact centrality row for {film} is inconsistent")
+        """State checks only: the config passes ``validate_config``; the
+        similarity is symmetric, in [0, 1] and has a 0.0/1.0 diagonal; the
+        centrality components are floats in [0, 1]; clustering and
+        centrality cover exactly the film set with dense integer cluster
+        ids; profiles name only known films. The graph, the AC column and
+        the modularity are derived from the state, so they are not rebuilt."""
+        components = {film: (r.degree_c, r.closeness_c, r.betweenness_c) for film, r in self.centrality.rows.items()}
+        _check_state(self.config, self.similarity, components, self.clustering.assignment, self.profiles)
+
+
+def _film_ids(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not set(map(type, value)) <= {str}:
+        raise DataError(f"artifact {what} is not a list of film ids")
+    return tuple(value)
+
+
+def _check_state(
+    config: PipelineConfig, similarity: SimilarityMatrix, components: dict, assignment: dict, profiles: dict
+) -> None:
+    try:
+        validate_config(config)
+    except DomainError as exc:
+        raise DataError(f"artifact config: {exc}")
+    values = similarity.values
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise DataError("artifact similarity has an entry that is not finite or outside [0, 1]")
+    if not np.array_equal(values, values.T):
+        raise DataError("artifact similarity is not symmetric")
+    if not np.isin(values.diagonal(), (0.0, 1.0)).all():
+        raise DataError("artifact similarity diagonal holds a value other than 0.0 or 1.0")
+    films = set(similarity.films)
+    if set(assignment) != films:
+        raise DataError("artifact clustering does not cover exactly the film set")
+    cluster_ids = set(assignment.values())
+    if not set(map(type, assignment.values())) <= {int} or cluster_ids != set(range(len(cluster_ids))):
+        raise DataError("artifact cluster ids are not integers dense from 0")
+    if set(components) != films:
+        raise DataError("artifact centrality table does not cover exactly the film set")
+    for film, row in components.items():
+        if not all(isinstance(c, float) and 0.0 <= c <= 1.0 for c in row):
+            raise DataError(f"artifact centrality row for {film} has a component outside [0, 1]")
+    for user, profile in profiles.items():
+        if not films.issuperset(profile.preferred + profile.non_preferred):
+            raise DataError(f"artifact profile for {user} names films outside the film set")

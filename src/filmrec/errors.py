@@ -32,8 +32,3 @@ class StageError(FilmRecError):
         super().__init__(f"stage '{stage}': {cause}")
         self.stage = stage
         self.cause = cause
-
-
-class ColdStartRequired(FilmRecError):
-    """Raised when personalized ranking is requested for a user without
-    any preferred films; callers should fall back to the cold-start list."""

@@ -20,7 +20,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, TextIO
+from typing import Callable, Iterable, Mapping, Protocol, TextIO
 
 from .community import louvain
 from .errors import DomainError
@@ -333,37 +333,43 @@ def naive_bayes_baseline(
     return predictions
 
 
-class KnnPolicy:
-    """Nearest-neighbor baseline wrapped as a scoring policy (+1/-1)."""
+class BaselinePolicy:
+    """A baseline's preferred / non-preferred prediction as a scoring policy
+    (+1/-1). The first score asked for a case predicts all four of its
+    held-out films with one baseline call; ``fit`` drops the kept
+    predictions. A film outside those four gets a call of its own."""
 
-    def __init__(self, k: int = 5):
-        self.name = f"knn{k}"
-        self.k = k
+    def __init__(self, name: str, baseline: Callable[[ViewMatrix, Mapping[str, float], list[str]], dict[str, bool]]):
+        self.name = name
+        self._baseline = baseline
         self._train: ViewMatrix | None = None
+        self._case: EvalCase | None = None
+        self._predictions: dict[str, bool] = {}
 
     def fit(self, train: ViewMatrix) -> None:
         self._train = train
+        self._case = None
+        self._predictions = {}
 
     def score_film(self, case: EvalCase, film: str) -> float:
         assert self._train is not None, "fit() first"
-        prediction = knn_baseline(self._train, case.context, [film], self.k)
-        return 1.0 if prediction[film] else -1.0
+        if case is not self._case:
+            self._case = case
+            held = [*case.held_preferred, *case.held_non_preferred]
+            self._predictions = self._baseline(self._train, case.context, held)
+        if film not in self._predictions:
+            self._predictions[film] = self._baseline(self._train, case.context, [film])[film]
+        return 1.0 if self._predictions[film] else -1.0
 
 
-class NaiveBayesPolicy:
-    """Naive Bayes baseline wrapped as a scoring policy (+1/-1)."""
+def KnnPolicy(k: int = 5) -> BaselinePolicy:  # noqa: N802 (a policy constructor)
+    """The k-nearest-neighbor baseline as a policy named ``knn{k}``."""
+    return BaselinePolicy(f"knn{k}", lambda train, context, films: knn_baseline(train, context, films, k))
 
-    def __init__(self):
-        self.name = "naive_bayes"
-        self._train: ViewMatrix | None = None
 
-    def fit(self, train: ViewMatrix) -> None:
-        self._train = train
-
-    def score_film(self, case: EvalCase, film: str) -> float:
-        assert self._train is not None, "fit() first"
-        prediction = naive_bayes_baseline(self._train, case.context, [film])
-        return 1.0 if prediction[film] else -1.0
+def NaiveBayesPolicy() -> BaselinePolicy:  # noqa: N802 (a policy constructor)
+    """The Naive Bayes baseline as a policy named ``naive_bayes``."""
+    return BaselinePolicy("naive_bayes", naive_bayes_baseline)
 
 
 # ---------------------------------------------------------------------------

@@ -186,13 +186,9 @@ class CentralityTable:
     @classmethod
     def compute(cls, g: FilmGraph) -> "CentralityTable":
         betweenness = betweenness_centrality(g)
-        rows = {}
-        for node in g.nodes:
-            d = degree_centrality(g, node)
-            c = closeness_centrality(g, node)
-            b = betweenness[node]
-            rows[node] = CentralityRow(d, c, b, average_centrality(d, c, b))
-        return cls(rows)
+        return cls.from_components(
+            {node: (degree_centrality(g, node), closeness_centrality(g, node), betweenness[node]) for node in g.nodes}
+        )
 
     @classmethod
     def from_components(cls, components: dict[str, tuple[float, float, float]]) -> "CentralityTable":

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, TextIO
 
 from .community import Clustering
-from .errors import ColdStartRequired, DomainError
+from .errors import DomainError
 from .graph import CentralityTable, FilmGraph, hop_distances
 from .ingest import ident_sort_key
 from .profiles import PreferenceProfile
@@ -94,9 +94,9 @@ def candidate_set(
 ) -> set[str]:
     """Films sharing a cluster with anything the user prefers, minus the
     preferred films themselves. Non-preferred films stay eligible unless
-    explicitly excluded (re-offering abandoned titles is allowed)."""
-    if not profile.preferred:
-        raise ColdStartRequired(f"user {profile.user_id} has no preferred films")
+    explicitly excluded (re-offering abandoned titles is allowed). A user
+    with no preferred films gets no candidates; ``is_cold_start`` decides
+    when to serve the cold-start list instead."""
     wanted = {clustering.assignment[film] for film in profile.preferred if film in clustering.assignment}
     candidates = {
         film

@@ -6,7 +6,8 @@ Three endpoints over one immutable artifact snapshot:
     GET /v1/users/{user_id}/recommendations?k=N
     GET /v1/films/{film_id}/similar?k=N
 
-The threading server answers them concurrently without locks. The only
+Any other method gets 405 with ``Allow: GET`` and a JSON error (no body for
+HEAD). The threading server answers them concurrently without locks. The only
 shared write is the graph's hop-distance memo (``FilmGraph.hops``): each key
 gets a deterministic value, so a race on a cold key only repeats one BFS.
 """
@@ -71,6 +72,16 @@ class ArtifactHandler(BaseHTTPRequestHandler):
             logger.exception("request failed: %s", self.path)
             self._respond(500, {"error": "internal error"})
 
+    def __getattr__(self, name: str):
+        # http.server dispatches a request to do_<METHOD> and answers 501 when
+        # that attribute is missing; every method but GET is refused here.
+        if name.startswith("do_"):
+            return self._method_not_allowed
+        raise AttributeError(name)
+
+    def _method_not_allowed(self) -> None:
+        self._respond(405, {"error": f"method not allowed: {self.command}"})
+
     def _health(self) -> dict:
         return {
             "status": "ok",
@@ -98,8 +109,11 @@ class ArtifactHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if status == 405:
+            self.send_header("Allow", "GET")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
     def log_message(self, format, *args):  # noqa: A002 (http.server API)
         logger.debug("%s - %s", self.address_string(), format % args)

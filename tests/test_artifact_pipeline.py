@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import filmrec.graph
 from filmrec import (
     DataError,
     DomainError,
@@ -262,6 +263,65 @@ class TestArtifactSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=message):
             PipelineArtifact.load(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("preferred", "12", "profile"),  # a string iterates as the films "1" and "2"
+            ("preferred", {"1": 0}, "profile"),
+            ("non_preferred", "3", "profile"),
+            ("cluster", False, "cluster id"),
+            ("cluster", True, "cluster id"),
+            ("cluster", 0.0, "cluster id"),
+            ("cluster", 1.0, "cluster id"),
+        ],
+    )
+    def test_mistyped_profile_or_cluster_field_rejected(self, tmp_path, small_artifact, field, value, message):
+        path = tmp_path / "artifact.json"
+        payload = small_artifact.to_payload()
+        if field == "cluster":
+            assignment = payload["clustering"]["assignment"]
+            # a film whose cluster id equals the value, so the ids stay dense
+            assignment[next(film for film, cluster in assignment.items() if cluster == value)] = value
+        else:
+            user = next(user for user, entry in payload["profiles"].items() if entry["preferred"])
+            payload["profiles"][user][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=message):
+            PipelineArtifact.load(path)
+
+    @pytest.mark.parametrize("bad_edge", ["weight_1.5", "self_loop"])
+    def test_bad_stored_edge_rejected(self, tmp_path, small_artifact, bad_edge):
+        path = tmp_path / "artifact.json"
+        payload = small_artifact.to_payload()
+        a, b, weight = payload["edges"][0]
+        payload["edges"][0] = [a, b, 1.5] if bad_edge == "weight_1.5" else [a, a, weight]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="graph"):
+            PipelineArtifact.load(path)
+
+    def test_load_builds_one_graph_and_validate_none(self, tmp_path, small_artifact, monkeypatch):
+        path = tmp_path / "artifact.json"
+        small_artifact.save(path)
+        built = []
+        init = filmrec.graph.FilmGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(filmrec.graph.FilmGraph, "__init__", counted)
+        loaded = PipelineArtifact.load(path)
+        assert built == [loaded.graph]
+        loaded.validate()
+        assert built == [loaded.graph]
+
+    @pytest.mark.parametrize("edge_threshold", [0.0, 0.35])
+    def test_save_of_load_is_byte_identical(self, tmp_path, small_view, edge_threshold):
+        saved, resaved = tmp_path / "saved.json", tmp_path / "resaved.json"
+        run_pipeline_from_view(small_view, PipelineConfig(edge_threshold=edge_threshold)).save(saved)
+        PipelineArtifact.load(saved).save(resaved)
+        assert resaved.read_bytes() == saved.read_bytes()
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -3,9 +3,12 @@ import random
 import numpy as np
 import pytest
 
+import filmrec.evaluation
 from filmrec import (
     DomainError,
     EgoGraphPolicy,
+    KnnPolicy,
+    NaiveBayesPolicy,
     RandomScorePolicy,
     SplitSpec,
     SyntheticSpec,
@@ -275,6 +278,54 @@ class TestNaiveBayesBaseline:
     def test_priors_follow_watcher_majority(self):
         train = ViewMatrix({("g", "a"): 0.1, ("g", "b"): 0.2, ("g", "c"): 0.3})
         assert naive_bayes_baseline(train, {}, ["g"]) == {"g": False}
+
+
+class TestBaselinePolicy:
+    def test_one_knn_search_per_eligible_test_user(self, monkeypatch):
+        calls = []
+        search = filmrec.evaluation.knn_baseline
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(filmrec.evaluation, "knn_baseline", counted)
+        view = synthetic_view()
+        train, test = split_users(view, 40, 0.7, 0)
+        report = evaluate_method(KnnPolicy(5), train, test)
+        eligible = len(test.users) - len(report.skipped_users)
+        assert eligible > 0 and len(calls) == eligible
+        assert len(report.judgments) == 4 * eligible
+
+    @pytest.mark.parametrize(
+        "policy, baseline",
+        [
+            (KnnPolicy(3), lambda train, context, films: knn_baseline(train, context, films, 3)),
+            (NaiveBayesPolicy(), naive_bayes_baseline),
+        ],
+        ids=["knn3", "naive_bayes"],
+    )
+    def test_scores_match_one_baseline_call_per_film(self, policy, baseline):
+        train, test = split_users(synthetic_view(), 40, 0.7, 1)
+        policy.fit(train)
+        for user in test.users:
+            case = make_eval_case(user, test.user_views(user))
+            if case is None:
+                continue
+            # context films are outside the four held out
+            for film in [*case.held_preferred, *case.held_non_preferred, *case.context]:
+                expected = 1.0 if baseline(train, case.context, [film])[film] else -1.0
+                assert policy.score_film(case, film) == expected
+
+    def test_fit_drops_kept_predictions(self):
+        liked = ViewMatrix({(f, u): 0.9 for f in ("x", "y", "z", "w", "v") for u in ("a", "b")})
+        disliked = ViewMatrix({(f, u): 0.1 for f in ("x", "y", "z", "w", "v") for u in ("a", "b")})
+        case = make_eval_case("t", {"x": 0.9, "y": 0.8, "z": 0.2, "w": 0.1, "v": 0.5})
+        policy = KnnPolicy(2)
+        policy.fit(liked)
+        assert policy.score_film(case, "x") == 1.0
+        policy.fit(disliked)
+        assert policy.score_film(case, "x") == -1.0
 
 
 class TestSynthetic:

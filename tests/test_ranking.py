@@ -10,12 +10,12 @@ import filmrec.ranking
 from filmrec import (
     CentralityTable,
     Clustering,
-    ColdStartRequired,
     DomainError,
     EgoGraphPolicy,
     FilmGraph,
     PipelineConfig,
     PreferenceProfile,
+    RecommendationList,
     SyntheticSpec,
     candidate_set,
     ego_centrality,
@@ -152,10 +152,9 @@ class TestCandidateSet:
         assert candidate_set(clustering, profile) == {"b", "c"}
         assert candidate_set(clustering, profile, exclude_non_preferred=True) == {"c"}
 
-    def test_empty_preferred_signals_cold_start(self):
+    def test_empty_preferred_gives_empty_set(self):
         clustering = Clustering({"a": 0}, 0.0)
-        with pytest.raises(ColdStartRequired):
-            candidate_set(clustering, PreferenceProfile("u", (), ("a",)))
+        assert candidate_set(clustering, PreferenceProfile("u", (), ("a",))) == set()
 
 
 def chain_scenario():
@@ -199,10 +198,10 @@ class TestRankForUser:
         ranked = rank_for_user(g, table, clustering, PreferenceProfile("u", ("1",), ()))
         assert ranked.films() == ["2", "10"]
 
-    def test_cold_start_signalled(self):
+    def test_no_preferred_films_gives_empty_list(self):
         g, table, clustering, _ = chain_scenario()
-        with pytest.raises(ColdStartRequired):
-            rank_for_user(g, table, clustering, PreferenceProfile("u", (), ("A",)))
+        ranked = rank_for_user(g, table, clustering, PreferenceProfile("u", (), ("A",)))
+        assert ranked == RecommendationList("u", ())
 
     def test_unreachable_egos_contribute_nothing(self):
         g = FilmGraph(["a", "b", "z"], [("a", "b", 0.5)])

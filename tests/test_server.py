@@ -1,3 +1,4 @@
+import http.client
 import json
 import random
 import threading
@@ -99,6 +100,35 @@ def test_malformed_k_400(base_url):
 def test_unknown_route_404(base_url):
     status, _ = get_error(f"{base_url}/v2/anything")
     assert status == 404
+
+
+@pytest.mark.parametrize(
+    "method, body",
+    [("POST", b'{"k": 3}'), ("PUT", b"x" * 5000), ("DELETE", None), ("PATCH", b""), ("OPTIONS", None), ("BREW", None)],
+)
+def test_other_methods_get_405_with_allow_get(base_url, method, body):
+    connection = http.client.HTTPConnection(base_url.removeprefix("http://"), timeout=10)
+    try:
+        connection.request(method, "/v1/users/u/recommendations?k=3", body=body)
+        response = connection.getresponse()
+        assert response.status == 405
+        assert response.getheader("Allow") == "GET"
+        assert response.getheader("Content-Type") == "application/json"
+        assert method in json.loads(response.read())["error"]
+    finally:
+        connection.close()
+
+
+def test_head_gets_405_without_body(base_url):
+    connection = http.client.HTTPConnection(base_url.removeprefix("http://"), timeout=10)
+    try:
+        connection.request("HEAD", "/v1/health")
+        response = connection.getresponse()
+        assert response.status == 405
+        assert response.getheader("Allow") == "GET"
+        assert response.read() == b""
+    finally:
+        connection.close()
 
 
 def test_concurrent_requests_on_a_cold_memo_match_sequential(tmp_path):
