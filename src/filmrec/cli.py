@@ -3,7 +3,8 @@
 Each pipeline stage is runnable in isolation (reading the raw events file
 and dumping that stage's table as CSV), and ``run`` executes the whole
 pipeline into a serialized artifact. Exit codes: 0 success, 1 usage error,
-2 data error.
+2 data error. ``--log-level`` (before the command) routes log messages to
+stderr as ``LEVEL logger: message``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -30,6 +32,8 @@ from .similarity import average_similarity, write_dual_similarity_csv, write_sim
 
 BIND_ENV_VAR = "FILMREC_BIND"
 DEFAULT_BIND = "127.0.0.1:8331"
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,9 +183,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _config_from_args(args)
-    view = load_view_matrix(args.events, config)
-    split_spec = evaluation.SplitSpec(args.sample_size, args.train_fraction, config.seed)
-    train, test = evaluation.split_users(view, args.sample_size, args.train_fraction, config.seed)
+    # policies first: a bad method or k fails before any data is read
     policies = []
     for name in args.methods.split(","):
         name = name.strip()
@@ -201,6 +203,9 @@ def _cmd_evaluate(args) -> int:
             policies.append(evaluation.RandomScorePolicy(config.seed))
         else:
             raise FilmRecError(f"unknown method: {name}")
+    view = load_view_matrix(args.events, config)
+    split_spec = evaluation.SplitSpec(args.sample_size, args.train_fraction, config.seed)
+    train, test = evaluation.split_users(view, args.sample_size, args.train_fraction, config.seed)
     reports = [evaluation.evaluate_method(p, train, test, split=split_spec) for p in policies]
     with _output(args.output) as stream:
         json.dump([r.to_json_dict() for r in reports], stream, indent=2, sort_keys=True)
@@ -222,6 +227,13 @@ def _cmd_serve(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="filmrec", description=__doc__)
+    parser.add_argument(
+        "--log-level",
+        choices=LOG_LEVELS,
+        default="WARNING",
+        type=str.upper,
+        help="lowest level of log messages written to stderr (default WARNING)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def stage(name: str, help_text: str, func):
@@ -283,6 +295,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    logging.basicConfig(level=args.log_level, format=LOG_FORMAT)
     try:
         return args.func(args)
     except FilmRecError as exc:

@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, TextIO
 
+import numpy as np
+
 from .community import louvain
 from .errors import DomainError
 from .graph import CentralityTable, FilmGraph, build_graph
@@ -249,17 +251,128 @@ class RandomScorePolicy:
         return self._rng.choice((-1.0, 0.0, 1.0))
 
 
-def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
-    if len(b) < len(a):
-        a, b = b, a
-    dot = sum(value * b.get(film, 0.0) for film, value in a.items())
-    if dot == 0.0:
-        return 0.0
-    norm_a = math.sqrt(sum(v * v for v in a.values()))
-    norm_b = math.sqrt(sum(v * v for v in b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_a * norm_b)
+class TrainingArrays:
+    """The training matrix as arrays, built once per fit, from which both
+    baselines predict.
+
+    ``film_index`` maps a film to its column; one extra all-zero column
+    stands for every film the matrix lacks. Rows follow ``train.users``.
+    ``pct``, ``watched`` and ``liked`` (pct > 0.5) are dense; ``order`` and
+    ``values`` hold each user's films and percentages in that user's own
+    dict order, padded with the zero column, so a row sum can add in the
+    order the dict loops add.
+    """
+
+    def __init__(self, train: ViewMatrix):
+        self.film_index = {film: i for i, film in enumerate(train.films)}
+        self.absent = len(self.film_index)
+        self.user_keys = [ident_sort_key(user) for user in train.users]
+        self.views = [train.user_views(user) for user in train.users]
+        self.lengths = np.array([len(views) for views in self.views])
+        # one trailing zero at least, so no row sum runs over an empty row
+        width = int(self.lengths.max(initial=0)) + 1
+        self.order = np.full((len(self.views), width), self.absent, dtype=np.intp)
+        self.values = np.zeros((len(self.views), width))
+        for row, views in enumerate(self.views):
+            self.order[row, : len(views)] = [self.film_index[film] for film in views]
+            self.values[row, : len(views)] = list(views.values())
+        rows = np.arange(len(self.views))[:, None]
+        self.pct = np.zeros((len(self.views), self.absent + 1))
+        self.pct[rows, self.order] = self.values
+        self.watched = np.zeros(self.pct.shape, dtype=np.int32)
+        self.watched[rows, self.order] = 1
+        self.watched[:, self.absent] = 0
+        self.liked = self.watched * (self.pct > 0.5)
+        self.norms = np.sqrt(_row_sums(self.values * self.values))
+
+    def columns(self, films: Iterable[str]) -> list[int]:
+        return [self.film_index.get(film, self.absent) for film in films]
+
+    def cosines(self, context: Mapping[str, float]) -> np.ndarray:
+        """Every training user's cosine with ``context`` (absent = 0),
+        bit-identical to a dict loop that sums the smaller dict's products
+        in its insertion order: both orders are summed, one is kept."""
+        cols = self.columns(context)
+        vals = np.array([*context.values(), 0.0])
+        by_context = _row_sums(self.pct[:, [*cols, self.absent]] * vals)
+        dense = np.zeros(self.absent + 1)
+        dense[cols] = vals[:-1]
+        dense[self.absent] = 0.0  # the training users' padding
+        by_train = _row_sums(self.values * dense[self.order])
+        dot = np.where(self.lengths < len(context), by_train, by_context)
+        norm = np.sqrt(_row_sums(vals * vals))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cosine = dot / (norm * self.norms)
+        return np.where((dot == 0.0) | (norm == 0.0) | (self.norms == 0.0), 0.0, cosine)
+
+
+def _row_sums(products: np.ndarray) -> np.ndarray:
+    """Sum along the last axis strictly left to right, as ``sum`` does."""
+    return np.cumsum(products, axis=-1)[..., -1]
+
+
+def _positive_k(k: int) -> None:
+    if k < 1:
+        raise DomainError(f"k must be at least 1, got {k}")
+
+
+def knn_predict(
+    arrays: TrainingArrays, user_views: Mapping[str, float], films: Iterable[str], k: int
+) -> dict[str, bool]:
+    """The kNN vote of ``knn_baseline`` over fit-time arrays."""
+    cosines = arrays.cosines(user_views).tolist()
+    similarities = sorted(zip((-c for c in cosines), arrays.user_keys, range(len(cosines))))
+    neighbors = [(arrays.views[row], -neg_sim) for neg_sim, _, row in similarities[:k]]
+    predictions: dict[str, bool] = {}
+    for film in films:
+        weight_total = 0.0
+        weighted_pct = 0.0
+        for views, sim in neighbors:
+            pct = views.get(film)
+            if pct is None or sim <= 0.0:
+                continue
+            weight_total += sim
+            weighted_pct += sim * pct
+        predictions[film] = weight_total > 0.0 and weighted_pct / weight_total > 0.5
+    return predictions
+
+
+def naive_bayes_predict(
+    arrays: TrainingArrays, user_views: Mapping[str, float], films: Iterable[str]
+) -> dict[str, bool]:
+    """The Naive Bayes posterior of ``naive_bayes_baseline`` over fit-time
+    arrays. Each class's match counts come from exact integer products of
+    its watchers of a film with the features' watched and liked columns;
+    the log terms are added one by one in feature order."""
+    features = sorted(user_views, key=ident_sort_key)
+    liked_feature = np.array([user_views[feature] > 0.5 for feature in features], dtype=bool)
+    films = list(films)
+    targets = arrays.columns(films)
+    feature_cols = arrays.columns(features)
+    seen_f = arrays.watched[:, feature_cols]
+    liked_f = arrays.liked[:, feature_cols]
+
+    def odds(watchers: np.ndarray) -> tuple[list[int], list[list[float]]]:
+        # watchers: users x films, 1 where the user is in this class for the film
+        seen = watchers.T @ seen_f
+        liked = watchers.T @ liked_f
+        match = np.where(liked_feature, liked, seen - liked)
+        # the counts are small integers, so numpy's division is Python's int / int
+        return watchers.sum(axis=0).tolist(), ((match + 1) / (seen + 2)).tolist()
+
+    pref = arrays.liked[:, targets]
+    n_pref, odds_pref = odds(pref)
+    n_non, odds_non = odds(arrays.watched[:, targets] - pref)
+    predictions: dict[str, bool] = {}
+    for film, n_p, n_n, row_pref, row_non in zip(films, n_pref, n_non, odds_pref, odds_non):
+        log_pref = math.log((n_p + 1) / (n_p + n_n + 2))
+        log_non = math.log((n_n + 1) / (n_p + n_n + 2))
+        for feature, odds_p, odds_n in zip(features, row_pref, row_non):
+            if feature != film:
+                log_pref += math.log(odds_p)
+                log_non += math.log(odds_n)
+        predictions[film] = log_pref > log_non
+    return predictions
 
 
 def knn_baseline(
@@ -271,27 +384,10 @@ def knn_baseline(
     """Predict preference per film from the k training users most similar to
     the given viewing vector (cosine, absent = 0): preferred when those
     neighbors' similarity-weighted mean percentage on the film exceeds 0.5;
-    films none of them watched come back non-preferred."""
-    if k < 1:
-        raise DomainError(f"k must be at least 1, got {k}")
-    similarities = [
-        (-_cosine(user_views, train.user_views(other)), ident_sort_key(other), other)
-        for other in train.users
-    ]
-    similarities.sort()
-    neighbors = [(other, -neg_sim) for neg_sim, _, other in similarities[:k]]
-    predictions: dict[str, bool] = {}
-    for film in films:
-        weight_total = 0.0
-        weighted_pct = 0.0
-        for other, sim in neighbors:
-            pct = train.pct(film, other)
-            if pct is None or sim <= 0.0:
-                continue
-            weight_total += sim
-            weighted_pct += sim * pct
-        predictions[film] = weight_total > 0.0 and weighted_pct / weight_total > 0.5
-    return predictions
+    films none of them watched come back non-preferred. Cosine ties go to
+    the lower user id."""
+    _positive_k(k)
+    return knn_predict(TrainingArrays(train), user_views, films, k)
 
 
 def naive_bayes_baseline(
@@ -302,74 +398,51 @@ def naive_bayes_baseline(
     """Per-film Bernoulli Naive Bayes over binarized labels (pct > 0.5) with
     add-one smoothing. Features are the given user's other watched films'
     binary labels; exact posterior ties resolve to non-preferred."""
-    user_labels = {film: pct > 0.5 for film, pct in user_views.items()}
-    feature_films = sorted(user_labels, key=ident_sort_key)
-    predictions: dict[str, bool] = {}
-    for film in films:
-        watchers = [(user, pct > 0.5) for user, pct in train.film_views(film).items()]
-        n_pref = sum(1 for _, liked in watchers if liked)
-        n_non = len(watchers) - n_pref
-        log_pref = math.log((n_pref + 1) / (len(watchers) + 2))
-        log_non = math.log((n_non + 1) / (len(watchers) + 2))
-        for feature in feature_films:
-            if feature == film:
-                continue
-            x = user_labels[feature]
-            match_pref = match_non = seen_pref = seen_non = 0
-            for user, liked in watchers:
-                pct = train.pct(feature, user)
-                if pct is None:
-                    continue
-                feature_label = pct > 0.5
-                if liked:
-                    seen_pref += 1
-                    match_pref += feature_label == x
-                else:
-                    seen_non += 1
-                    match_non += feature_label == x
-            log_pref += math.log((match_pref + 1) / (seen_pref + 2))
-            log_non += math.log((match_non + 1) / (seen_non + 2))
-        predictions[film] = log_pref > log_non
-    return predictions
+    return naive_bayes_predict(TrainingArrays(train), user_views, films)
 
 
 class BaselinePolicy:
     """A baseline's preferred / non-preferred prediction as a scoring policy
-    (+1/-1). The first score asked for a case predicts all four of its
-    held-out films with one baseline call; ``fit`` drops the kept
-    predictions. A film outside those four gets a call of its own."""
+    (+1/-1). ``fit`` builds the training arrays once. The first score asked
+    for a case predicts all four of its held-out films with one call; ``fit``
+    drops the kept predictions. A film outside those four gets a call of
+    its own."""
 
-    def __init__(self, name: str, baseline: Callable[[ViewMatrix, Mapping[str, float], list[str]], dict[str, bool]]):
+    def __init__(
+        self, name: str, predict: Callable[[TrainingArrays, Mapping[str, float], list[str]], dict[str, bool]]
+    ):
         self.name = name
-        self._baseline = baseline
-        self._train: ViewMatrix | None = None
+        self._predict = predict
+        self._arrays: TrainingArrays | None = None
         self._case: EvalCase | None = None
         self._predictions: dict[str, bool] = {}
 
     def fit(self, train: ViewMatrix) -> None:
-        self._train = train
+        self._arrays = TrainingArrays(train)
         self._case = None
         self._predictions = {}
 
     def score_film(self, case: EvalCase, film: str) -> float:
-        assert self._train is not None, "fit() first"
+        assert self._arrays is not None, "fit() first"
         if case is not self._case:
             self._case = case
             held = [*case.held_preferred, *case.held_non_preferred]
-            self._predictions = self._baseline(self._train, case.context, held)
+            self._predictions = self._predict(self._arrays, case.context, held)
         if film not in self._predictions:
-            self._predictions[film] = self._baseline(self._train, case.context, [film])[film]
+            self._predictions[film] = self._predict(self._arrays, case.context, [film])[film]
         return 1.0 if self._predictions[film] else -1.0
 
 
 def KnnPolicy(k: int = 5) -> BaselinePolicy:  # noqa: N802 (a policy constructor)
-    """The k-nearest-neighbor baseline as a policy named ``knn{k}``."""
-    return BaselinePolicy(f"knn{k}", lambda train, context, films: knn_baseline(train, context, films, k))
+    """The k-nearest-neighbor baseline as a policy named ``knn{k}``;
+    ``k < 1`` is a ``DomainError`` here, before anything is fitted."""
+    _positive_k(k)
+    return BaselinePolicy(f"knn{k}", lambda arrays, context, films: knn_predict(arrays, context, films, k))
 
 
 def NaiveBayesPolicy() -> BaselinePolicy:  # noqa: N802 (a policy constructor)
     """The Naive Bayes baseline as a policy named ``naive_bayes``."""
-    return BaselinePolicy("naive_bayes", naive_bayes_baseline)
+    return BaselinePolicy("naive_bayes", naive_bayes_predict)
 
 
 # ---------------------------------------------------------------------------

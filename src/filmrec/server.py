@@ -7,7 +7,14 @@ Three endpoints over one immutable artifact snapshot:
     GET /v1/films/{film_id}/similar?k=N
 
 Any other method gets 405 with ``Allow: GET`` and a JSON error (no body for
-HEAD). The threading server answers them concurrently without locks. The only
+HEAD). No endpoint reads a request body, but a declared ``Content-Length`` of
+up to ``MAX_BODY_BYTES`` is read and dropped before the answer: closing a
+socket with unread input resets the connection, and the client could lose
+the response. A larger body gets 413 (an unreadable length 400) with
+``Connection: close``; the server then stops writing and drops the rest of
+the upload for at most ``DRAIN_SECONDS`` before it closes.
+
+The threading server answers requests concurrently without locks. The only
 shared write is the graph's hop-distance memo (``FilmGraph.hops``): each key
 gets a deterministic value, so a race on a cold key only repeats one BFS.
 """
@@ -17,6 +24,8 @@ from __future__ import annotations
 import json
 import logging
 import re
+import socket
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
@@ -26,6 +35,9 @@ from .pipeline import is_cold_start, recommend
 logger = logging.getLogger(__name__)
 
 DEFAULT_K = 10
+MAX_BODY_BYTES = 1 << 20
+DRAIN_SECONDS = 2.0
+_CHUNK_BYTES = 1 << 16
 
 _RECOMMEND_RE = re.compile(r"^/v1/users/([^/]+)/recommendations$")
 _SIMILAR_RE = re.compile(r"^/v1/films/([^/]+)/similar$")
@@ -72,6 +84,44 @@ class ArtifactHandler(BaseHTTPRequestHandler):
             logger.exception("request failed: %s", self.path)
             self._respond(500, {"error": "internal error"})
 
+    def parse_request(self) -> bool:
+        return super().parse_request() and self._discard_body()
+
+    def _discard_body(self) -> bool:
+        """Read and drop the declared body; False once a 4xx is sent."""
+        declared = self.headers.get("Content-Length")
+        if declared is None:
+            return True
+        try:
+            size = int(declared)
+        except ValueError:
+            size = -1
+        if size < 0:
+            return self._refuse_body(400, f"bad Content-Length: {declared!r}")
+        if size > MAX_BODY_BYTES:
+            return self._refuse_body(413, f"request body of {size} bytes exceeds {MAX_BODY_BYTES}")
+        while size > 0:
+            chunk = self.rfile.read(min(size, _CHUNK_BYTES))
+            if not chunk:
+                break
+            size -= len(chunk)
+        return True
+
+    def _refuse_body(self, status: int, message: str) -> bool:
+        """Answer with ``Connection: close``, stop writing, then drop input
+        until EOF or for at most ``DRAIN_SECONDS``."""
+        self._respond(status, {"error": message}, close=True)
+        deadline = time.monotonic() + DRAIN_SECONDS
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while (left := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(left)
+                if not self.rfile.read1(_CHUNK_BYTES):
+                    break
+        except OSError:  # a timeout or a reset; the connection closes next either way
+            pass
+        return False
+
     def __getattr__(self, name: str):
         # http.server dispatches a request to do_<METHOD> and answers 501 when
         # that attribute is missing; every method but GET is refused here.
@@ -104,13 +154,15 @@ class ArtifactHandler(BaseHTTPRequestHandler):
             for other, value in self.artifact.similarity.top_similar(film_id, k)
         ]
 
-    def _respond(self, status: int, payload) -> None:
+    def _respond(self, status: int, payload, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         if status == 405:
             self.send_header("Allow", "GET")
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         if self.command != "HEAD":
             self.wfile.write(body)

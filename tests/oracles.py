@@ -5,17 +5,20 @@ explicitly enumerating every shortest path per ordered node pair, or bit for
 bit by a Brandes pass with its own BFS, modularity maxima by scoring every
 set partition, and averaged similarity by materializing the full per-user
 dual-similarity tensor before aggregating, or by the scalar films x films x
-users loop.
+users loop, and the kNN and Naive Bayes baselines by their dict loops.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from filmrec import FilmGraph, ViewMatrix, modularity_score
+from filmrec import DomainError, FilmGraph, ViewMatrix, modularity_score
+from filmrec.ingest import ident_sort_key
 from filmrec.similarity import NOT_COMPARABLE, AveragingPolicy, dual_similarity
 
 
@@ -230,6 +233,94 @@ def scalar_average_similarity(view: ViewMatrix, policy: AveragingPolicy) -> np.n
                 avg = total / len(users) if users else 0.0
             values[i, j] = values[j, i] = avg
     return values
+
+
+# The kNN and Naive Bayes baselines as dict loops over the ViewMatrix, kept
+# verbatim from before they read fit-time arrays.
+
+
+def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
+    if len(b) < len(a):
+        a, b = b, a
+    dot = sum(value * b.get(film, 0.0) for film, value in a.items())
+    if dot == 0.0:
+        return 0.0
+    norm_a = math.sqrt(sum(v * v for v in a.values()))
+    norm_b = math.sqrt(sum(v * v for v in b.values()))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a * norm_b)
+
+
+def knn_baseline(
+    train: ViewMatrix,
+    user_views: Mapping[str, float],
+    films: Iterable[str],
+    k: int,
+) -> dict[str, bool]:
+    """Predict preference per film from the k training users most similar to
+    the given viewing vector (cosine, absent = 0): preferred when those
+    neighbors' similarity-weighted mean percentage on the film exceeds 0.5;
+    films none of them watched come back non-preferred."""
+    if k < 1:
+        raise DomainError(f"k must be at least 1, got {k}")
+    similarities = [
+        (-_cosine(user_views, train.user_views(other)), ident_sort_key(other), other)
+        for other in train.users
+    ]
+    similarities.sort()
+    neighbors = [(other, -neg_sim) for neg_sim, _, other in similarities[:k]]
+    predictions: dict[str, bool] = {}
+    for film in films:
+        weight_total = 0.0
+        weighted_pct = 0.0
+        for other, sim in neighbors:
+            pct = train.pct(film, other)
+            if pct is None or sim <= 0.0:
+                continue
+            weight_total += sim
+            weighted_pct += sim * pct
+        predictions[film] = weight_total > 0.0 and weighted_pct / weight_total > 0.5
+    return predictions
+
+
+def naive_bayes_baseline(
+    train: ViewMatrix,
+    user_views: Mapping[str, float],
+    films: Iterable[str],
+) -> dict[str, bool]:
+    """Per-film Bernoulli Naive Bayes over binarized labels (pct > 0.5) with
+    add-one smoothing. Features are the given user's other watched films'
+    binary labels; exact posterior ties resolve to non-preferred."""
+    user_labels = {film: pct > 0.5 for film, pct in user_views.items()}
+    feature_films = sorted(user_labels, key=ident_sort_key)
+    predictions: dict[str, bool] = {}
+    for film in films:
+        watchers = [(user, pct > 0.5) for user, pct in train.film_views(film).items()]
+        n_pref = sum(1 for _, liked in watchers if liked)
+        n_non = len(watchers) - n_pref
+        log_pref = math.log((n_pref + 1) / (len(watchers) + 2))
+        log_non = math.log((n_non + 1) / (len(watchers) + 2))
+        for feature in feature_films:
+            if feature == film:
+                continue
+            x = user_labels[feature]
+            match_pref = match_non = seen_pref = seen_non = 0
+            for user, liked in watchers:
+                pct = train.pct(feature, user)
+                if pct is None:
+                    continue
+                feature_label = pct > 0.5
+                if liked:
+                    seen_pref += 1
+                    match_pref += feature_label == x
+                else:
+                    seen_non += 1
+                    match_non += feature_label == x
+            log_pref += math.log((match_pref + 1) / (seen_pref + 2))
+            log_non += math.log((match_non + 1) / (seen_non + 2))
+        predictions[film] = log_pref > log_non
+    return predictions
 
 
 def monte_carlo_random_judge_accuracy(trials: int, seed: int) -> float:

@@ -1,8 +1,16 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import filmrec
+from filmrec import EgoGraphPolicy
 from filmrec.cli import main
 
 
@@ -158,3 +166,69 @@ def test_negative_sample_size_exits_two(events_file, capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_knn_k_below_one_exits_two_before_any_fitting(events_file, tmp_path, capsys, monkeypatch):
+    fits = []
+    monkeypatch.setattr(EgoGraphPolicy, "fit", lambda self, train: fits.append(train))
+    report_path = tmp_path / "report.json"
+    # a one-user test side leaves no eligible test user, where a knn0 report used to be written
+    for sample in ("24", "2"):
+        code = main(
+            ["evaluate", str(events_file), "--sample-size", sample, "--train-fraction", "0.5",
+             "--knn-k", "0", "-o", str(report_path)]
+        )  # fmt: skip
+        assert code == 2
+        assert "k must be at least 1" in capsys.readouterr().err
+    assert fits == [] and not report_path.exists()
+
+
+def run_cli(*args: str) -> subprocess.Popen:
+    src = str(Path(filmrec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen(
+        [sys.executable, "-m", "filmrec", *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+
+
+@pytest.fixture()
+def thin_events_file(tmp_path):
+    """Every user watched two films, so every test user is skipped with a warning."""
+    path = tmp_path / "thin.csv"
+    rows = [f"{film},{user},{900 + user},1000" for user in range(1, 9) for film in (1, 2)]
+    path.write_text("film_id,user_id,watch_seconds,total_seconds\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("level, shown", [([], True), (["--log-level", "error"], False)])
+def test_warnings_are_formatted_at_the_chosen_level(thin_events_file, tmp_path, level, shown):
+    proc = run_cli(
+        *level, "evaluate", str(thin_events_file), "--sample-size", "8", "--train-fraction", "0.5",
+        "--methods", "random", "-o", str(tmp_path / "report.json"),
+    )  # fmt: skip
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    skipped = [line for line in err.splitlines() if "skipping test user" in line]
+    expected = r"WARNING filmrec\.evaluation: skipping test user \d: fewer than 4 watched films"
+    assert len(skipped) == (4 if shown else 0)
+    assert all(re.fullmatch(expected, line) for line in skipped)
+
+
+def test_info_level_routes_the_server_start_message(events_file, tmp_path):
+    artifact_path = tmp_path / "artifact.json"
+    assert main(["run", str(events_file), "-o", str(artifact_path)]) == 0
+    proc = run_cli("--log-level", "INFO", "serve", str(artifact_path), "--bind", "127.0.0.1:0")
+    watchdog = threading.Timer(30, proc.kill)
+    watchdog.start()
+    try:
+        line = proc.stderr.readline()
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.communicate()
+    assert line.strip() == "INFO filmrec.server: serving on 127.0.0.1:0"
+
+
+def test_unknown_log_level_is_a_usage_error(capsys):
+    assert main(["--log-level", "LOUD", "synth"]) == 1
+    assert "--log-level" in capsys.readouterr().err

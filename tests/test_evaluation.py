@@ -283,13 +283,13 @@ class TestNaiveBayesBaseline:
 class TestBaselinePolicy:
     def test_one_knn_search_per_eligible_test_user(self, monkeypatch):
         calls = []
-        search = filmrec.evaluation.knn_baseline
+        search = filmrec.evaluation.knn_predict
 
         def counted(*args, **kwargs):
             calls.append(args[2])
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(filmrec.evaluation, "knn_baseline", counted)
+        monkeypatch.setattr(filmrec.evaluation, "knn_predict", counted)
         view = synthetic_view()
         train, test = split_users(view, 40, 0.7, 0)
         report = evaluate_method(KnnPolicy(5), train, test)
@@ -316,6 +316,11 @@ class TestBaselinePolicy:
             for film in [*case.held_preferred, *case.held_non_preferred, *case.context]:
                 expected = 1.0 if baseline(train, case.context, [film])[film] else -1.0
                 assert policy.score_film(case, film) == expected
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_knn_policy_rejects_k_below_one_when_constructed(self, k):
+        with pytest.raises(DomainError, match="k must be at least 1"):
+            KnnPolicy(k)
 
     def test_fit_drops_kept_predictions(self):
         liked = ViewMatrix({(f, u): 0.9 for f in ("x", "y", "z", "w", "v") for u in ("a", "b")})

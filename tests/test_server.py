@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from filmrec import PipelineArtifact, PipelineConfig, SyntheticSpec, generate_synthetic, recommend, run_pipeline_from_view
-from filmrec.server import create_server, parse_bind
+from filmrec.server import MAX_BODY_BYTES, create_server, parse_bind
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +186,43 @@ def test_parse_bind():
     assert parse_bind("0.0.0.0:80") == ("0.0.0.0", 80)
     with pytest.raises(ValueError):
         parse_bind("8080")
+
+
+def post(base_url: str, path: str, body: bytes) -> tuple[int, str | None, dict]:
+    connection = http.client.HTTPConnection(base_url.removeprefix("http://"), timeout=10)
+    try:
+        connection.request("POST", path, body=body)
+        response = connection.getresponse()
+        return response.status, response.getheader("Connection"), json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def test_large_bodies_are_read_before_the_answer(base_url):
+    body = b"x" * 1_000_000
+    statuses = [post(base_url, "/v1/health", body)[0] for _ in range(50)]
+    assert statuses == [405] * 50
+
+
+def test_body_over_the_cap_gets_413_and_close(base_url):
+    status, connection, payload = post(base_url, "/v1/health", b"x" * (MAX_BODY_BYTES + 1))
+    assert status == 413
+    assert connection == "close"
+    assert str(MAX_BODY_BYTES) in payload["error"]
+    status, _ = get(f"{base_url}/v1/health")
+    assert status == 200
+
+
+@pytest.mark.parametrize("declared", ["-1", "many"])
+def test_bad_content_length_gets_400(base_url, declared):
+    connection = http.client.HTTPConnection(base_url.removeprefix("http://"), timeout=10)
+    try:
+        connection.putrequest("POST", "/v1/health")
+        connection.putheader("Content-Length", declared)
+        connection.endheaders()
+        response = connection.getresponse()
+        assert response.status == 400
+        assert response.getheader("Connection") == "close"
+        assert "Content-Length" in json.loads(response.read())["error"]
+    finally:
+        connection.close()
