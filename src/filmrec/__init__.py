@@ -31,8 +31,6 @@ from .evaluation import (
     evaluate_method,
     generate_synthetic,
     judge,
-    knn_baseline,
-    naive_bayes_baseline,
     planted_film_clusters,
     split_users,
 )
@@ -94,8 +92,6 @@ __all__ = [
     "evaluate_method",
     "generate_synthetic",
     "judge",
-    "knn_baseline",
-    "naive_bayes_baseline",
     "planted_film_clusters",
     "split_users",
     "CentralityTable",

@@ -11,19 +11,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import enum
 import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields
 
 from . import evaluation
 from .artifact import PipelineArtifact
 from .community import write_clusters_csv
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, read_config_file, validate_config
 from .errors import FilmRecError
 from .graph import write_centrality_csv, write_edges_csv
-from .ingest import build_view_matrix, parse_events, write_view_matrix_csv
+from .ingest import write_view_matrix_csv
 from .pipeline import load_view_matrix, recommend, run_pipeline
 from .profiles import build_profiles, write_profiles_csv
 from .ranking import write_recommendations_csv
@@ -55,42 +56,36 @@ def _output(path: str | None):
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
+    """One flag per ``PipelineConfig`` field; a flag left out leaves the
+    value to the config file or the default."""
     parser.add_argument("--config", metavar="FILE", help="key = value config file")
-    parser.add_argument("--edge-threshold", type=float, dest="edge_threshold")
-    parser.add_argument(
-        "--averaging-policy", choices=["comparable_count", "all_users"], dest="averaging_policy"
-    )
-    parser.add_argument("--preference-threshold", type=float, dest="preference_threshold")
-    parser.add_argument("--seed", type=int, dest="seed")
-    parser.add_argument("--no-clamp", action="store_true", help="reject ratios above 1 instead of clamping")
-    parser.add_argument(
-        "--exclude-non-preferred",
-        action="store_true",
-        help="drop a user's non-preferred films from their candidate set",
-    )
+    for option in fields(PipelineConfig):
+        flag = "--" + option.name.replace("_", "-")
+        kwargs = {"dest": option.name, "help": option.metadata.get("help")}
+        if option.type is bool:
+            if option.default:
+                flag = "--no-" + flag[2:]
+            kwargs.update(action="store_const", const=not option.default)
+        elif issubclass(option.type, enum.Enum):
+            kwargs.update(choices=[member.value for member in option.type])
+        else:
+            kwargs.update(type=option.type)
+        parser.add_argument(flag, **kwargs)
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    config = load_config(args.config) if args.config else PipelineConfig()
-    overrides = {}
-    for key in ("edge_threshold", "averaging_policy", "preference_threshold", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        config = PipelineConfig.from_dict({**config.to_dict(), **overrides})
-    if getattr(args, "no_clamp", False):
-        config = replace(config, clamp=False)
-    if getattr(args, "exclude_non_preferred", False):
-        config = replace(config, exclude_non_preferred=True)
+    """The config file's values, overridden by the flags given, validated."""
+    values = read_config_file(args.config) if args.config else {}
+    for option in fields(PipelineConfig):
+        if getattr(args, option.name) is not None:
+            values[option.name] = getattr(args, option.name)
+    config = PipelineConfig.from_dict(values)
+    validate_config(config)
     return config
 
 
 def _cmd_ingest(args) -> int:
-    config = _config_from_args(args)
-    with open(args.events, newline="", encoding="utf-8") as stream:
-        events = parse_events(stream, skip_bad_rows=args.skip_bad_rows)
-    view = build_view_matrix(events, clamp=config.clamp)
+    view = load_view_matrix(args.events, _config_from_args(args), skip_bad_rows=args.skip_bad_rows)
     with _output(args.output) as stream:
         write_view_matrix_csv(view, stream)
     return 0
@@ -108,28 +103,16 @@ def _cmd_similarity(args) -> int:
     return 0
 
 
-def _cmd_graph(args) -> int:
-    config = _config_from_args(args)
-    artifact = run_pipeline(args.events, config)
-    with _output(args.output) as stream:
-        write_edges_csv(artifact.graph, stream)
-    return 0
+def _dump_part(part: str, writer):
+    """A command that runs the pipeline and dumps one part of the artifact."""
 
+    def command(args) -> int:
+        artifact = run_pipeline(args.events, _config_from_args(args))
+        with _output(args.output) as stream:
+            writer(getattr(artifact, part), stream)
+        return 0
 
-def _cmd_centrality(args) -> int:
-    config = _config_from_args(args)
-    artifact = run_pipeline(args.events, config)
-    with _output(args.output) as stream:
-        write_centrality_csv(artifact.centrality, stream)
-    return 0
-
-
-def _cmd_cluster(args) -> int:
-    config = _config_from_args(args)
-    artifact = run_pipeline(args.events, config)
-    with _output(args.output) as stream:
-        write_clusters_csv(artifact.clustering, stream)
-    return 0
+    return command
 
 
 def _cmd_profiles(args) -> int:
@@ -142,8 +125,7 @@ def _cmd_profiles(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _config_from_args(args)
-    artifact = run_pipeline(args.events, config)
+    artifact = run_pipeline(args.events, _config_from_args(args))
     artifact.save(args.output)
     print(
         f"wrote {args.output}: {len(artifact.similarity.films)} films, "
@@ -181,28 +163,24 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+# ``evaluate --methods`` names: each builds its policy from the config and the flags
+METHODS = {
+    "ego_graph": lambda config, args: evaluation.EgoGraphPolicy(**asdict(config)),
+    "knn": lambda config, args: evaluation.KnnPolicy(args.knn_k),
+    "naive_bayes": lambda config, args: evaluation.NaiveBayesPolicy(),
+    "random": lambda config, args: evaluation.RandomScorePolicy(config.seed),
+}
+
+
 def _cmd_evaluate(args) -> int:
     config = _config_from_args(args)
     # policies first: a bad method or k fails before any data is read
     policies = []
     for name in args.methods.split(","):
         name = name.strip()
-        if name == "ego_graph":
-            policies.append(
-                evaluation.EgoGraphPolicy(
-                    averaging_policy=config.averaging_policy,
-                    edge_threshold=config.edge_threshold,
-                    preference_threshold=config.preference_threshold,
-                )
-            )
-        elif name == "knn":
-            policies.append(evaluation.KnnPolicy(args.knn_k))
-        elif name == "naive_bayes":
-            policies.append(evaluation.NaiveBayesPolicy())
-        elif name == "random":
-            policies.append(evaluation.RandomScorePolicy(config.seed))
-        else:
+        if name not in METHODS:
             raise FilmRecError(f"unknown method: {name}")
+        policies.append(METHODS[name](config, args))
     view = load_view_matrix(args.events, config)
     split_spec = evaluation.SplitSpec(args.sample_size, args.train_fraction, config.seed)
     train, test = evaluation.split_users(view, args.sample_size, args.train_fraction, config.seed)
@@ -250,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = stage("similarity", "dump the averaged film similarity matrix", _cmd_similarity)
     p.add_argument("--ds-dump", metavar="FILE", help="also dump the per-user DS tensor")
 
-    stage("graph", "dump the thresholded film graph edge list", _cmd_graph)
-    stage("centrality", "dump per-film centrality measures", _cmd_centrality)
-    stage("cluster", "dump the film clustering", _cmd_cluster)
+    stage("graph", "dump the thresholded film graph edge list", _dump_part("graph", write_edges_csv))
+    stage("centrality", "dump per-film centrality measures", _dump_part("centrality", write_centrality_csv))
+    stage("cluster", "dump the film clustering", _dump_part("clustering", write_clusters_csv))
     stage("profiles", "dump per-user preference labels", _cmd_profiles)
 
     p = stage("run", "run the full pipeline into an artifact file", _cmd_run)
@@ -266,18 +244,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_recommend)
 
     p = sub.add_parser("synth", help="generate a synthetic events CSV")
+    spec = evaluation.SyntheticSpec()
     p.add_argument("-o", "--output", default="-")
-    p.add_argument("--films", type=int, default=80)
-    p.add_argument("--users", type=int, default=328)
-    p.add_argument("--clusters", type=int, default=4)
-    p.add_argument("--watch-probability", type=float, default=0.65)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--films", type=int, default=spec.film_count)
+    p.add_argument("--users", type=int, default=spec.user_count)
+    p.add_argument("--clusters", type=int, default=spec.planted_cluster_count)
+    p.add_argument("--watch-probability", type=float, default=spec.watch_probability)
+    p.add_argument("--seed", type=int, default=spec.seed)
     p.set_defaults(func=_cmd_synth)
 
     p = stage("evaluate", "offline sign-agreement evaluation", _cmd_evaluate)
     p.add_argument("--sample-size", type=int, default=50)
     p.add_argument("--train-fraction", type=float, default=0.7)
-    p.add_argument("--methods", default="ego_graph,knn,naive_bayes,random")
+    p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--knn-k", type=int, default=5)
     p.add_argument("--summary", metavar="FILE", help="also write a CSV accuracy summary")
 

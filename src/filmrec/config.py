@@ -1,15 +1,17 @@
 """Pipeline configuration: a small key-value file format plus defaults.
 
 Every defaulted modeling decision (clamping, averaging denominator, edge
-threshold, preference threshold, candidate eligibility) is surfaced here so
-experiments can be declared rather than patched in code. The file format is
-one ``key = value`` per line with ``#`` comments.
+threshold, preference threshold, candidate eligibility) is a field of
+``PipelineConfig``, so experiments can be declared rather than patched in
+code. The fields are the only declaration of an option: its name, type and
+default drive ``from_dict``, ``to_dict`` and the command-line flags. The file
+format is one ``key = value`` per line with ``#`` comments.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields
+from enum import Enum
 from pathlib import Path
+from typing import Mapping
 
 from .errors import DataError, DomainError
 from .similarity import AveragingPolicy
@@ -19,74 +21,54 @@ _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    clamp: bool = True
-    averaging_policy: AveragingPolicy = AveragingPolicy.COMPARABLE_COUNT
+    """A field's ``help`` metadata is its command-line help; a bool field's
+    flag sets the value opposite its default. Flags are listed in field
+    order. ``from_dict`` and the CLI read ``Field.type`` as a class, so
+    this module does without ``from __future__ import annotations``."""
+
     edge_threshold: float = 0.0
+    averaging_policy: AveragingPolicy = AveragingPolicy.COMPARABLE_COUNT
     preference_threshold: float = 0.5
-    exclude_non_preferred: bool = False
     seed: int = 0
+    clamp: bool = field(default=True, metadata={"help": "reject ratios above 1 instead of clamping"})
+    exclude_non_preferred: bool = field(
+        default=False, metadata={"help": "drop a user's non-preferred films from their candidate set"}
+    )
 
     def to_dict(self) -> dict:
-        return {
-            "clamp": self.clamp,
-            "averaging_policy": self.averaging_policy.value,
-            "edge_threshold": self.edge_threshold,
-            "preference_threshold": self.preference_threshold,
-            "exclude_non_preferred": self.exclude_non_preferred,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "averaging_policy": self.averaging_policy.value}
 
     @classmethod
-    def from_dict(cls, values: dict) -> "PipelineConfig":
-        config = cls()
-        fields = {}
+    def from_dict(cls, values: Mapping) -> "PipelineConfig":
+        types = {f.name: f.type for f in fields(cls)}
+        parsed = {}
         for key, raw in values.items():
-            if key == "clamp":
-                fields[key] = _as_bool(key, raw)
-            elif key == "averaging_policy":
-                fields[key] = _as_policy(raw)
-            elif key in ("edge_threshold", "preference_threshold"):
-                fields[key] = _as_float(key, raw)
-            elif key == "exclude_non_preferred":
-                fields[key] = _as_bool(key, raw)
-            elif key == "seed":
-                fields[key] = _as_int(key, raw)
-            else:
+            if key not in types:
                 raise DataError(f"unknown config key: {key}")
-        return replace(config, **fields)
+            parsed[key] = _typed(key, types[key], raw)
+        return cls(**parsed)
 
 
-def _as_bool(key: str, raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    value = _BOOL_VALUES.get(str(raw).strip().lower())
-    if value is None:
-        raise DataError(f"config {key}: expected a boolean, got {raw!r}")
-    return value
+def _expected(kind: type) -> str:
+    if issubclass(kind, Enum):
+        return "one of " + ", ".join(member.value for member in kind)
+    return {bool: "a boolean", int: "an integer", float: "a number"}[kind]
 
 
-def _as_float(key: str, raw) -> float:
+def _typed(key: str, kind: type, raw):
+    """``raw`` as a ``kind``. Text is parsed as a config file gives it; any
+    other value must already be a ``kind``, where an int counts as a number
+    and a bool does not."""
     try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise DataError(f"config {key}: expected a number, got {raw!r}")
-
-
-def _as_int(key: str, raw) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise DataError(f"config {key}: expected an integer, got {raw!r}")
-
-
-def _as_policy(raw) -> AveragingPolicy:
-    if isinstance(raw, AveragingPolicy):
-        return raw
-    try:
-        return AveragingPolicy(str(raw).strip().lower())
-    except ValueError:
-        valid = ", ".join(p.value for p in AveragingPolicy)
-        raise DataError(f"config averaging_policy: expected one of {valid}, got {raw!r}")
+        if isinstance(raw, str):
+            text = raw.strip().lower()
+            return _BOOL_VALUES[text] if kind is bool else kind(text)
+        numeric = (int, float) if kind is float else kind
+        if isinstance(raw, numeric) and (kind is bool or not isinstance(raw, bool)):
+            return kind(raw)
+    except (KeyError, ValueError):
+        pass
+    raise DataError(f"config {key}: expected {_expected(kind)}, got {raw!r}")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -102,9 +84,12 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
+def read_config_file(path: str | Path) -> dict[str, str]:
+    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+
+
 def load_config(path: str | Path) -> PipelineConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    return PipelineConfig.from_dict(parse_config_text(text))
+    return PipelineConfig.from_dict(read_config_file(path))
 
 
 def validate_config(config: PipelineConfig) -> None:

@@ -25,11 +25,12 @@ from typing import Callable, Iterable, Mapping, Protocol, TextIO
 import numpy as np
 
 from .community import louvain
+from .config import PipelineConfig, validate_config
 from .errors import DomainError
 from .graph import CentralityTable, FilmGraph, build_graph
 from .ingest import ViewMatrix, ViewingEvent, ident_sort_key
 from .ranking import score_candidate
-from .similarity import AveragingPolicy, average_similarity
+from .similarity import average_similarity
 
 logger = logging.getLogger(__name__)
 
@@ -204,33 +205,29 @@ class EgoGraphPolicy:
     scoring runs the ego-centric recommendation score over the test user's
     context films labeled by the preference threshold, through the same
     ``score_candidate`` that serving uses, with egos in film-id order.
+
+    The keyword arguments are ``PipelineConfig`` fields; fit reads the
+    averaging policy and edge threshold, scoring the preference threshold.
     """
 
-    def __init__(
-        self,
-        *,
-        averaging_policy: AveragingPolicy = AveragingPolicy.COMPARABLE_COUNT,
-        edge_threshold: float = 0.0,
-        preference_threshold: float = 0.5,
-    ):
+    def __init__(self, **config):
         self.name = "ego_graph"
-        self.averaging_policy = averaging_policy
-        self.edge_threshold = edge_threshold
-        self.preference_threshold = preference_threshold
+        self.config = PipelineConfig(**config)
+        validate_config(self.config)
         self.graph: FilmGraph | None = None
         self.centrality: CentralityTable | None = None
         self.similarity = None
         self.clustering = None
 
     def fit(self, train: ViewMatrix) -> None:
-        self.similarity = average_similarity(train, self.averaging_policy)
-        self.graph = build_graph(self.similarity, self.edge_threshold)
+        self.similarity = average_similarity(train, self.config.averaging_policy)
+        self.graph = build_graph(self.similarity, self.config.edge_threshold)
         self.centrality = CentralityTable.compute(self.graph)
         self.clustering = louvain(self.graph)
 
     def score_film(self, case: EvalCase, film: str) -> float:
         assert self.graph is not None and self.centrality is not None, "fit() first"
-        threshold = self.preference_threshold
+        threshold = self.config.preference_threshold
         prefs = sorted((f for f, pct in case.context.items() if pct > threshold), key=ident_sort_key)
         nonprefs = sorted((f for f, pct in case.context.items() if pct <= threshold), key=ident_sort_key)
         return score_candidate(self.graph, self.centrality, film, prefs, nonprefs)
@@ -311,15 +308,14 @@ def _row_sums(products: np.ndarray) -> np.ndarray:
     return np.cumsum(products, axis=-1)[..., -1]
 
 
-def _positive_k(k: int) -> None:
-    if k < 1:
-        raise DomainError(f"k must be at least 1, got {k}")
-
-
 def knn_predict(
     arrays: TrainingArrays, user_views: Mapping[str, float], films: Iterable[str], k: int
 ) -> dict[str, bool]:
-    """The kNN vote of ``knn_baseline`` over fit-time arrays."""
+    """Predict preference per film from the k training users most similar to
+    the given viewing vector (cosine, absent = 0): preferred when those
+    neighbors' similarity-weighted mean percentage on the film exceeds 0.5;
+    films none of them watched come back non-preferred. Cosine ties go to
+    the lower user id."""
     cosines = arrays.cosines(user_views).tolist()
     similarities = sorted(zip((-c for c in cosines), arrays.user_keys, range(len(cosines))))
     neighbors = [(arrays.views[row], -neg_sim) for neg_sim, _, row in similarities[:k]]
@@ -340,10 +336,13 @@ def knn_predict(
 def naive_bayes_predict(
     arrays: TrainingArrays, user_views: Mapping[str, float], films: Iterable[str]
 ) -> dict[str, bool]:
-    """The Naive Bayes posterior of ``naive_bayes_baseline`` over fit-time
-    arrays. Each class's match counts come from exact integer products of
-    its watchers of a film with the features' watched and liked columns;
-    the log terms are added one by one in feature order."""
+    """Per-film Bernoulli Naive Bayes over binarized labels (pct > 0.5) with
+    add-one smoothing. Features are the given user's other watched films'
+    binary labels; exact posterior ties resolve to non-preferred.
+
+    Each class's match counts come from exact integer products of its
+    watchers of a film with the features' watched and liked columns; the
+    log terms are added one by one in feature order."""
     features = sorted(user_views, key=ident_sort_key)
     liked_feature = np.array([user_views[feature] > 0.5 for feature in features], dtype=bool)
     films = list(films)
@@ -373,32 +372,6 @@ def naive_bayes_predict(
                 log_non += math.log(odds_n)
         predictions[film] = log_pref > log_non
     return predictions
-
-
-def knn_baseline(
-    train: ViewMatrix,
-    user_views: Mapping[str, float],
-    films: Iterable[str],
-    k: int,
-) -> dict[str, bool]:
-    """Predict preference per film from the k training users most similar to
-    the given viewing vector (cosine, absent = 0): preferred when those
-    neighbors' similarity-weighted mean percentage on the film exceeds 0.5;
-    films none of them watched come back non-preferred. Cosine ties go to
-    the lower user id."""
-    _positive_k(k)
-    return knn_predict(TrainingArrays(train), user_views, films, k)
-
-
-def naive_bayes_baseline(
-    train: ViewMatrix,
-    user_views: Mapping[str, float],
-    films: Iterable[str],
-) -> dict[str, bool]:
-    """Per-film Bernoulli Naive Bayes over binarized labels (pct > 0.5) with
-    add-one smoothing. Features are the given user's other watched films'
-    binary labels; exact posterior ties resolve to non-preferred."""
-    return naive_bayes_predict(TrainingArrays(train), user_views, films)
 
 
 class BaselinePolicy:
@@ -436,7 +409,8 @@ class BaselinePolicy:
 def KnnPolicy(k: int = 5) -> BaselinePolicy:  # noqa: N802 (a policy constructor)
     """The k-nearest-neighbor baseline as a policy named ``knn{k}``;
     ``k < 1`` is a ``DomainError`` here, before anything is fitted."""
-    _positive_k(k)
+    if k < 1:
+        raise DomainError(f"k must be at least 1, got {k}")
     return BaselinePolicy(f"knn{k}", lambda arrays, context, films: knn_predict(arrays, context, films, k))
 
 

@@ -25,10 +25,10 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def load_view_matrix(events_path: str | Path, config: PipelineConfig) -> ViewMatrix:
+def load_view_matrix(events_path: str | Path, config: PipelineConfig, *, skip_bad_rows: bool = False) -> ViewMatrix:
     with _stage("ingest"):
         with open(events_path, newline="", encoding="utf-8") as stream:
-            events = parse_events(stream)
+            events = parse_events(stream, skip_bad_rows=skip_bad_rows)
         return build_view_matrix(events, clamp=config.clamp)
 
 

@@ -10,9 +10,11 @@ Any other method gets 405 with ``Allow: GET`` and a JSON error (no body for
 HEAD). No endpoint reads a request body, but a declared ``Content-Length`` of
 up to ``MAX_BODY_BYTES`` is read and dropped before the answer: closing a
 socket with unread input resets the connection, and the client could lose
-the response. A larger body gets 413 (an unreadable length 400) with
-``Connection: close``; the server then stops writing and drops the rest of
-the upload for at most ``DRAIN_SECONDS`` before it closes.
+the response. A larger body gets 413, an unreadable length 400 and any
+``Transfer-Encoding`` 411, each with ``Connection: close``; the server then
+stops writing and drops the rest of the upload for at most ``DRAIN_SECONDS``
+before it closes. A read that waits longer than ``READ_TIMEOUT_SECONDS``
+(headers or body) closes the connection without an answer.
 
 The threading server answers requests concurrently without locks. The only
 shared write is the graph's hop-distance memo (``FilmGraph.hops``): each key
@@ -37,6 +39,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_K = 10
 MAX_BODY_BYTES = 1 << 20
 DRAIN_SECONDS = 2.0
+READ_TIMEOUT_SECONDS = 10.0
 _CHUNK_BYTES = 1 << 16
 
 _RECOMMEND_RE = re.compile(r"^/v1/users/([^/]+)/recommendations$")
@@ -56,6 +59,7 @@ def _parse_k(query: dict[str, list[str]]) -> int:
 
 class ArtifactHandler(BaseHTTPRequestHandler):
     artifact: PipelineArtifact  # set on the subclass by create_server
+    timeout = READ_TIMEOUT_SECONDS  # socket timeout, set by StreamRequestHandler.setup
 
     def do_GET(self):  # noqa: N802 (http.server API)
         parsed = urlparse(self.path)
@@ -89,6 +93,9 @@ class ArtifactHandler(BaseHTTPRequestHandler):
 
     def _discard_body(self) -> bool:
         """Read and drop the declared body; False once a 4xx is sent."""
+        encoding = self.headers.get("Transfer-Encoding")
+        if encoding is not None:
+            return self._refuse_body(411, f"Transfer-Encoding {encoding!r} is not accepted; send Content-Length")
         declared = self.headers.get("Content-Length")
         if declared is None:
             return True

@@ -355,7 +355,15 @@ class TestArtifactSerialization:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("preference_threshold", 0.0), ("preference_threshold", 1.0), ("edge_threshold", 5), ("edge_threshold", -0.1)],
+        [
+            ("preference_threshold", 0.0),
+            ("preference_threshold", 1.0),
+            ("edge_threshold", 5),
+            ("edge_threshold", -0.1),
+            ("seed", 2.5),
+            ("edge_threshold", True),
+            ("clamp", 1),
+        ],
     )
     def test_out_of_domain_config_rejected(self, tmp_path, small_artifact, key, value):
         path = tmp_path / "artifact.json"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from filmrec import SyntheticSpec, ViewMatrix, generate_synthetic, knn_baseline, naive_bayes_baseline, split_users
+from filmrec import SyntheticSpec, ViewMatrix, generate_synthetic, split_users
 from filmrec.evaluation import TrainingArrays, knn_predict, make_eval_case, naive_bayes_predict
 
 # a few repeated values make tied cosines and equal labels likely
@@ -59,10 +59,8 @@ def test_kernels_equal_dict_loop_oracles(inputs):
     assert cosine_bits(arrays, context) == oracle_cosine_bits(train, context)
     expected_knn = oracles.knn_baseline(train, context, targets, k)
     assert knn_predict(arrays, context, targets, k) == expected_knn
-    assert knn_baseline(train, context, targets, k) == expected_knn
     expected_nb = oracles.naive_bayes_baseline(train, context, targets)
     assert naive_bayes_predict(arrays, context, targets) == expected_nb
-    assert naive_bayes_baseline(train, context, targets) == expected_nb
 
 
 def test_empty_context_gives_zero_cosines_and_oracle_predictions():

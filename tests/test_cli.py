@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import filmrec
-from filmrec import EgoGraphPolicy
-from filmrec.cli import main
+from filmrec import EgoGraphPolicy, PipelineConfig
+from filmrec.cli import _config_from_args, build_parser, main
+from filmrec.similarity import AveragingPolicy
 
 
 @pytest.fixture()
@@ -128,6 +129,35 @@ def test_config_file_and_overrides(events_file, tmp_path):
     assert main(["graph", str(events_file), "--config", str(conf),
                  "--edge-threshold", "0.0", "-o", str(out)]) == 0
     assert len(read_csv(out)) - 1 > high_threshold_edges
+
+
+def test_every_config_field_has_a_flag_that_beats_the_file(tmp_path):
+    conf = tmp_path / "pipeline.conf"
+    conf.write_text("edge_threshold = 0.9\nseed = 3\nclamp = true\nexclude_non_preferred = false\n")
+    flags = [
+        "--edge-threshold", "0.2", "--averaging-policy", "all_users", "--preference-threshold", "0.6",
+        "--seed", "4", "--no-clamp", "--exclude-non-preferred",
+    ]  # fmt: skip
+    args = build_parser().parse_args(["graph", "events.csv", "--config", str(conf), *flags])
+    assert _config_from_args(args) == PipelineConfig(
+        edge_threshold=0.2,
+        averaging_policy=AveragingPolicy.ALL_USERS,
+        preference_threshold=0.6,
+        seed=4,
+        clamp=False,
+        exclude_non_preferred=True,
+    )
+    args = build_parser().parse_args(["graph", "events.csv", "--config", str(conf)])
+    assert _config_from_args(args) == PipelineConfig(edge_threshold=0.9, seed=3)
+
+
+@pytest.mark.parametrize("command", ["ingest", "similarity", "evaluate"])
+@pytest.mark.parametrize("threshold", ["1.5", "0"])
+def test_out_of_range_threshold_exits_two_before_writing(events_file, tmp_path, capsys, command, threshold):
+    out = tmp_path / "out"
+    assert main([command, str(events_file), "--preference-threshold", threshold, "-o", str(out)]) == 2
+    assert "preference_threshold outside (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exits_one(capsys):

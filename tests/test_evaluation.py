@@ -17,12 +17,19 @@ from filmrec import (
     evaluate_method,
     generate_synthetic,
     judge,
-    knn_baseline,
-    naive_bayes_baseline,
     planted_film_clusters,
     split_users,
 )
-from filmrec.evaluation import NON_PREFERRED, PREFERRED, EvalCase, make_eval_case, view_to_events
+from filmrec.evaluation import (
+    NON_PREFERRED,
+    PREFERRED,
+    EvalCase,
+    TrainingArrays,
+    knn_predict,
+    make_eval_case,
+    naive_bayes_predict,
+    view_to_events,
+)
 
 from oracles import monte_carlo_random_judge_accuracy
 
@@ -214,6 +221,11 @@ class TestEvaluateMethod:
         rand = evaluate_method(RandomScorePolicy(0), train, test)
         assert proposed.accuracy > rand.accuracy
 
+    @pytest.mark.parametrize("key, value", [("preference_threshold", 1.5), ("edge_threshold", -0.1)])
+    def test_ego_policy_rejects_an_out_of_range_config_when_constructed(self, key, value):
+        with pytest.raises(DomainError, match=key):
+            EgoGraphPolicy(**{key: value})
+
 
 class TestKnnBaseline:
     TRAIN = ViewMatrix(
@@ -226,25 +238,21 @@ class TestKnnBaseline:
 
     def test_hand_instance(self):
         # cosine sims: a=0.747, b=0.555, c=0; weighted means f1=0.602, f2=0.8, f3=0.3
-        pred = knn_baseline(self.TRAIN, {"f1": 1.0}, ["f1", "f2", "f3"], k=2)
+        pred = knn_predict(TrainingArrays(self.TRAIN), {"f1": 1.0}, ["f1", "f2", "f3"], k=2)
         assert pred == {"f1": True, "f2": True, "f3": False}
 
     def test_identical_training_user_dominates(self):
-        pred = knn_baseline(self.TRAIN, {"f1": 0.9, "f2": 0.8}, ["f1", "f2", "f3"], k=1)
+        pred = knn_predict(TrainingArrays(self.TRAIN), {"f1": 0.9, "f2": 0.8}, ["f1", "f2", "f3"], k=1)
         assert pred == {"f1": True, "f2": True, "f3": False}
 
     def test_uniformly_high_data_prefers_everything(self):
         train = ViewMatrix({(f, u): 0.9 for f in ("x", "y") for u in ("a", "b", "c")})
-        pred = knn_baseline(train, {"x": 0.9}, ["x", "y"], k=3)
+        pred = knn_predict(TrainingArrays(train), {"x": 0.9}, ["x", "y"], k=3)
         assert pred == {"x": True, "y": True}
 
     def test_unwatched_film_defaults_non_preferred(self):
-        pred = knn_baseline(self.TRAIN, {"f1": 1.0}, ["f9"], k=2)
+        pred = knn_predict(TrainingArrays(self.TRAIN), {"f1": 1.0}, ["f9"], k=2)
         assert pred == {"f9": False}
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(DomainError):
-            knn_baseline(self.TRAIN, {"f1": 1.0}, ["f1"], k=0)
 
 
 class TestNaiveBayesBaseline:
@@ -259,7 +267,7 @@ class TestNaiveBayesBaseline:
 
     def test_hand_instance(self):
         # log posteriors for f1: preferred -1.2040, non-preferred -2.7081
-        pred = naive_bayes_baseline(self.TRAIN, {"f2": 0.9, "f3": 0.2}, ["f1"])
+        pred = naive_bayes_predict(TrainingArrays(self.TRAIN), {"f2": 0.9, "f3": 0.2}, ["f1"])
         assert pred == {"f1": True}
 
     def test_film_preferred_by_all_watchers(self):
@@ -269,15 +277,15 @@ class TestNaiveBayesBaseline:
                 ("h", "a"): 0.9, ("h", "b"): 0.9,
             }
         )
-        assert naive_bayes_baseline(train, {"h": 0.8}, ["g"]) == {"g": True}
+        assert naive_bayes_predict(TrainingArrays(train), {"h": 0.8}, ["g"]) == {"g": True}
 
     def test_no_training_data_ties_to_non_preferred(self):
         train = ViewMatrix({("other", "z"): 0.4})
-        assert naive_bayes_baseline(train, {"h": 0.8}, ["g"]) == {"g": False}
+        assert naive_bayes_predict(TrainingArrays(train), {"h": 0.8}, ["g"]) == {"g": False}
 
     def test_priors_follow_watcher_majority(self):
         train = ViewMatrix({("g", "a"): 0.1, ("g", "b"): 0.2, ("g", "c"): 0.3})
-        assert naive_bayes_baseline(train, {}, ["g"]) == {"g": False}
+        assert naive_bayes_predict(TrainingArrays(train), {}, ["g"]) == {"g": False}
 
 
 class TestBaselinePolicy:
@@ -300,21 +308,22 @@ class TestBaselinePolicy:
     @pytest.mark.parametrize(
         "policy, baseline",
         [
-            (KnnPolicy(3), lambda train, context, films: knn_baseline(train, context, films, 3)),
-            (NaiveBayesPolicy(), naive_bayes_baseline),
+            (KnnPolicy(3), lambda arrays, context, films: knn_predict(arrays, context, films, 3)),
+            (NaiveBayesPolicy(), naive_bayes_predict),
         ],
         ids=["knn3", "naive_bayes"],
     )
     def test_scores_match_one_baseline_call_per_film(self, policy, baseline):
         train, test = split_users(synthetic_view(), 40, 0.7, 1)
         policy.fit(train)
+        arrays = TrainingArrays(train)
         for user in test.users:
             case = make_eval_case(user, test.user_views(user))
             if case is None:
                 continue
             # context films are outside the four held out
             for film in [*case.held_preferred, *case.held_non_preferred, *case.context]:
-                expected = 1.0 if baseline(train, case.context, [film])[film] else -1.0
+                expected = 1.0 if baseline(arrays, case.context, [film])[film] else -1.0
                 assert policy.score_film(case, film) == expected
 
     @pytest.mark.parametrize("k", [0, -3])

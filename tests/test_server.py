@@ -1,14 +1,16 @@
 import http.client
 import json
 import random
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from filmrec import PipelineArtifact, PipelineConfig, SyntheticSpec, generate_synthetic, recommend, run_pipeline_from_view
-from filmrec.server import MAX_BODY_BYTES, create_server, parse_bind
+from filmrec.server import MAX_BODY_BYTES, READ_TIMEOUT_SECONDS, ArtifactHandler, create_server, parse_bind
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +228,50 @@ def test_bad_content_length_gets_400(base_url, declared):
         assert "Content-Length" in json.loads(response.read())["error"]
     finally:
         connection.close()
+
+
+def address(base_url: str) -> tuple[str, int]:
+    host, _, port = base_url.removeprefix("http://").rpartition(":")
+    return host, int(port)
+
+
+def read_to_eof(sock: socket.socket) -> bytes:
+    chunks = []
+    while chunk := sock.recv(1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize(
+    "request_start",
+    [b"POST /v1/health HTTP/1.1\r\nContent-Length: 1000\r\n\r\n", b"GET /v1/health HTTP/1.1\r\nHost: x"],
+    ids=["body-never-sent", "headers-never-finished"],
+)
+def test_a_stalled_request_is_closed_after_the_read_timeout(base_url, monkeypatch, request_start):
+    assert ArtifactHandler.timeout == READ_TIMEOUT_SECONDS
+    monkeypatch.setattr(ArtifactHandler, "timeout", 0.5)
+    with socket.create_connection(address(base_url), timeout=10) as sock:
+        sock.sendall(request_start)
+        start = time.monotonic()
+        assert read_to_eof(sock) == b""
+        assert time.monotonic() - start < 5
+    assert get(f"{base_url}/v1/health")[0] == 200
+
+
+def test_chunked_bodies_get_411_and_close_without_a_reset(base_url):
+    body = b"x" * (1 << 20)
+    request = (
+        b"POST /v1/health HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + f"{len(body):x}\r\n".encode()
+        + body
+        + b"\r\n0\r\n\r\n"
+    )
+    for _ in range(10):
+        with socket.create_connection(address(base_url), timeout=10) as sock:
+            sock.sendall(request)
+            sock.shutdown(socket.SHUT_WR)
+            response = read_to_eof(sock)
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"411"
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert "Transfer-Encoding" in json.loads(payload)["error"]
