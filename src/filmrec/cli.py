@@ -93,7 +93,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_similarity(args) -> int:
     config = _config_from_args(args)
-    view = load_view_matrix(args.events, config)
+    view = load_view_matrix(args.events, config, skip_bad_rows=args.skip_bad_rows)
     sim = average_similarity(view, config.averaging_policy)
     with _output(args.output) as stream:
         write_similarity_csv(sim, stream)
@@ -107,7 +107,7 @@ def _dump_part(part: str, writer):
     """A command that runs the pipeline and dumps one part of the artifact."""
 
     def command(args) -> int:
-        artifact = run_pipeline(args.events, _config_from_args(args))
+        artifact = run_pipeline(args.events, _config_from_args(args), skip_bad_rows=args.skip_bad_rows)
         with _output(args.output) as stream:
             writer(getattr(artifact, part), stream)
         return 0
@@ -117,7 +117,7 @@ def _dump_part(part: str, writer):
 
 def _cmd_profiles(args) -> int:
     config = _config_from_args(args)
-    view = load_view_matrix(args.events, config)
+    view = load_view_matrix(args.events, config, skip_bad_rows=args.skip_bad_rows)
     profiles = build_profiles(view, config.preference_threshold)
     with _output(args.output) as stream:
         write_profiles_csv(profiles, stream)
@@ -125,7 +125,7 @@ def _cmd_profiles(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    artifact = run_pipeline(args.events, _config_from_args(args))
+    artifact = run_pipeline(args.events, _config_from_args(args), skip_bad_rows=args.skip_bad_rows)
     artifact.save(args.output)
     print(
         f"wrote {args.output}: {len(artifact.similarity.films)} films, "
@@ -181,7 +181,7 @@ def _cmd_evaluate(args) -> int:
         if name not in METHODS:
             raise FilmRecError(f"unknown method: {name}")
         policies.append(METHODS[name](config, args))
-    view = load_view_matrix(args.events, config)
+    view = load_view_matrix(args.events, config, skip_bad_rows=args.skip_bad_rows)
     split_spec = evaluation.SplitSpec(args.sample_size, args.train_fraction, config.seed)
     train, test = evaluation.split_users(view, args.sample_size, args.train_fraction, config.seed)
     reports = [evaluation.evaluate_method(p, train, test, split=split_spec) for p in policies]
@@ -218,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("events", help="events CSV (film_id,user_id,watch_seconds,total_seconds)")
         p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
+        p.add_argument("--skip-bad-rows", action="store_true", help="log and skip malformed rows")
         _add_config_options(p)
         p.set_defaults(func=func)
         return p
 
-    p = stage("ingest", "parse events and dump the viewing-percentage matrix", _cmd_ingest)
-    p.add_argument("--skip-bad-rows", action="store_true", help="log and skip malformed rows")
+    stage("ingest", "parse events and dump the viewing-percentage matrix", _cmd_ingest)
 
     p = stage("similarity", "dump the averaged film similarity matrix", _cmd_similarity)
     p.add_argument("--ds-dump", metavar="FILE", help="also dump the per-user DS tensor")

@@ -55,16 +55,21 @@ def _expected(kind: type) -> str:
     return {bool: "a boolean", int: "an integer", float: "a number"}[kind]
 
 
+def _is_a(value, kind: type) -> bool:
+    """Whether ``value`` is a ``kind``, where an int counts as a number and
+    a bool does not."""
+    numeric = (int, float) if kind is float else kind
+    return isinstance(value, numeric) and (kind is bool or not isinstance(value, bool))
+
+
 def _typed(key: str, kind: type, raw):
     """``raw`` as a ``kind``. Text is parsed as a config file gives it; any
-    other value must already be a ``kind``, where an int counts as a number
-    and a bool does not."""
+    other value must already be a ``kind`` (see ``_is_a``)."""
     try:
         if isinstance(raw, str):
             text = raw.strip().lower()
             return _BOOL_VALUES[text] if kind is bool else kind(text)
-        numeric = (int, float) if kind is float else kind
-        if isinstance(raw, numeric) and (kind is bool or not isinstance(raw, bool)):
+        if _is_a(raw, kind):
             return kind(raw)
     except (KeyError, ValueError):
         pass
@@ -93,6 +98,12 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def validate_config(config: PipelineConfig) -> None:
+    """Each field holds a value of its type (``_is_a``) within its range.
+    The constructor checks nothing, so this runs before a config is used."""
+    for option in fields(config):
+        value = getattr(config, option.name)
+        if not _is_a(value, option.type):
+            raise DomainError(f"config {option.name}: expected {_expected(option.type)}, got {value!r}")
     if not 0.0 <= config.edge_threshold <= 1.0:
         raise DomainError(f"edge_threshold outside [0, 1]: {config.edge_threshold}")
     if not 0.0 < config.preference_threshold < 1.0:

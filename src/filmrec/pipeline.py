@@ -47,9 +47,9 @@ def run_pipeline_from_view(view: ViewMatrix, config: PipelineConfig) -> Pipeline
     return PipelineArtifact.build(config, similarity, graph, centrality, clustering, profiles)
 
 
-def run_pipeline(events_path: str | Path, config: PipelineConfig) -> PipelineArtifact:
+def run_pipeline(events_path: str | Path, config: PipelineConfig, *, skip_bad_rows: bool = False) -> PipelineArtifact:
     """Events file to finished artifact, with stage names on failures."""
-    view = load_view_matrix(events_path, config)
+    view = load_view_matrix(events_path, config, skip_bad_rows=skip_bad_rows)
     return run_pipeline_from_view(view, config)
 
 

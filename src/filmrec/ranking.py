@@ -11,9 +11,10 @@ in its own evidence list contributes its full centrality), and an
 unreachable ego contributes nothing.
 
 ``score_candidate`` is the one scorer, for serving and offline evaluation
-alike. It reads hops from the graph's per-source memo (``FilmGraph.hops``),
-so each judged film costs one BFS per graph, not one per request.
-``ego_centrality`` keeps its own BFS as the independent single-ego reference.
+alike. It reads hops from rows of the graph's hop matrix (``FilmGraph.hops``),
+which one all-sources path kernel computes once per graph, so no request
+runs a BFS. ``ego_centrality`` keeps its own BFS as the independent
+single-ego reference.
 """
 
 from __future__ import annotations
@@ -75,10 +76,11 @@ def score_candidate(
     """The film's recommendation score against the given egos, summed in the
     order given; egos outside the graph are skipped."""
     value = ac.ac(film)
+    target = g.index(film)
 
     def toward(ego: str) -> float:
-        hops = g.hops(ego).get(film)
-        return 0.0 if hops is None else value / max(hops, 1)
+        hops = g.hops(ego)[target]
+        return 0.0 if hops < 0 else value / max(hops, 1)
 
     return recommendation_score(
         [toward(ego) for ego in preferred if ego in g],

@@ -17,8 +17,9 @@ before it closes. A read that waits longer than ``READ_TIMEOUT_SECONDS``
 (headers or body) closes the connection without an answer.
 
 The threading server answers requests concurrently without locks. The only
-shared write is the graph's hop-distance memo (``FilmGraph.hops``): each key
-gets a deterministic value, so a race on a cold key only repeats one BFS.
+shared write is the graph's cached path-kernel result (``FilmGraph.paths``),
+made by the first personalized request: it is deterministic, so requests
+racing on a freshly loaded artifact at worst repeat that one pass.
 """
 
 from __future__ import annotations

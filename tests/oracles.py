@@ -10,6 +10,7 @@ users loop, and the kNN and Naive Bayes baselines by their dict loops.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import deque
@@ -17,7 +18,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from filmrec import DomainError, FilmGraph, ViewMatrix, modularity_score
+from filmrec import (
+    DomainError,
+    FilmGraph,
+    SyntheticSpec,
+    ViewMatrix,
+    average_similarity,
+    build_graph,
+    generate_synthetic,
+    modularity_score,
+)
 from filmrec.ingest import ident_sort_key
 from filmrec.similarity import NOT_COMPARABLE, AveragingPolicy, dual_similarity
 
@@ -166,6 +176,24 @@ def component_graph(rng: random.Random) -> FilmGraph:
         if block[a] == block[b] and a not in isolates and b not in isolates and rng.random() < p
     ]
     return FilmGraph(nodes, edges)
+
+
+def shuffled_graph(rng: random.Random) -> FilmGraph:
+    """A ``component_graph`` rebuilt from its edge list in shuffled order,
+    each edge's endpoints flipped at random, so adjacency order no longer
+    follows node order."""
+    g = component_graph(rng)
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    return FilmGraph(g.nodes, [(b, a, w) if rng.random() < 0.5 else (a, b, w) for a, b, w in edges])
+
+
+@functools.lru_cache(maxsize=None)
+def synthetic_graph(edge_threshold: float) -> FilmGraph:
+    """The graph of the default 120-film x 500-user synthetic log (seed 1):
+    complete at threshold 0.0, 415 edges at 0.35."""
+    view = generate_synthetic(SyntheticSpec(film_count=120, user_count=500, seed=1))
+    return build_graph(average_similarity(view, AveragingPolicy.COMPARABLE_COUNT), edge_threshold)
 
 
 def random_view_matrix(rng: random.Random, max_films: int = 10, max_users: int = 10) -> ViewMatrix:

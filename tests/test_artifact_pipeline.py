@@ -6,6 +6,7 @@ import filmrec.graph
 from filmrec import (
     DataError,
     DomainError,
+    EgoGraphPolicy,
     PipelineArtifact,
     PipelineConfig,
     StageError,
@@ -99,6 +100,19 @@ class TestRunPipeline:
     def test_config_validation(self, small_view):
         with pytest.raises(DomainError):
             run_pipeline_from_view(small_view, PipelineConfig(edge_threshold=2.0))
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            lambda view: run_pipeline_from_view(view, PipelineConfig(averaging_policy="all_users")),
+            lambda view: run_pipeline_from_view(view, PipelineConfig(edge_threshold="0.3")),
+            lambda view: EgoGraphPolicy(seed=2.5),
+        ],
+        ids=["averaging_policy_text", "edge_threshold_text", "ego_policy_float_seed"],
+    )
+    def test_mistyped_config_field_is_refused_before_any_stage(self, small_view, start):
+        with pytest.raises(DomainError, match="expected"):
+            start(small_view)
 
 
 class TestArtifactSerialization:
@@ -315,6 +329,16 @@ class TestArtifactSerialization:
         assert built == [loaded.graph]
         loaded.validate()
         assert built == [loaded.graph]
+
+    def test_recommend_for_every_user_after_load_runs_one_kernel_pass(self, tmp_path, small_artifact, traversals):
+        path = tmp_path / "artifact.json"
+        small_artifact.save(path)
+        loaded = PipelineArtifact.load(path)
+        for user in loaded.profiles:
+            assert recommend(loaded, user, 5) == recommend(small_artifact, user, 5)
+        # the built artifact's pass ran while the pipeline computed its centrality
+        assert [id(p) for p in traversals.passes] == [id(loaded.graph.indptr)]
+        assert not traversals.bfs
 
     @pytest.mark.parametrize("edge_threshold", [0.0, 0.35])
     def test_save_of_load_is_byte_identical(self, tmp_path, small_view, edge_threshold):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import filmrec
-from filmrec import EgoGraphPolicy, PipelineConfig
+from filmrec import EgoGraphPolicy, PipelineArtifact, PipelineConfig
 from filmrec.cli import _config_from_args, build_parser, main
 from filmrec.similarity import AveragingPolicy
 
@@ -158,6 +158,30 @@ def test_out_of_range_threshold_exits_two_before_writing(events_file, tmp_path, 
     assert main([command, str(events_file), "--preference-threshold", threshold, "-o", str(out)]) == 2
     assert "preference_threshold outside (0, 1)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["ingest", "similarity", "graph", "centrality", "cluster", "profiles", "run", "evaluate"]
+)
+def test_every_events_command_skips_a_bad_row_on_request(events_file, tmp_path, capsys, command):
+    """One malformed row exits 2 with its line number; with --skip-bad-rows
+    the command writes what it writes for the file without that row."""
+    bad = tmp_path / "bad.csv"
+    text = events_file.read_text()
+    bad.write_text(text + "1,u1,not-a-number,100\n")
+    bad_line = len(text.splitlines()) + 1
+    extra = ["--sample-size", "20"] if command == "evaluate" else []
+    assert main([command, str(bad), "-o", str(tmp_path / "refused"), *extra]) == 2
+    assert f"line {bad_line}: non-numeric durations" in capsys.readouterr().err
+
+    def written(path, *flags):
+        out = tmp_path / f"{path.stem}.out"
+        assert main([command, str(path), "-o", str(out), *extra, *flags]) == 0
+        if command == "run":
+            return PipelineArtifact.load(out).payload_without_timestamp()
+        return out.read_text()
+
+    assert written(bad, "--skip-bad-rows") == written(events_file)
 
 
 def test_usage_error_exits_one(capsys):

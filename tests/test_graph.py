@@ -5,7 +5,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import filmrec.graph
 from filmrec import (
     CentralityTable,
     DomainError,
@@ -19,7 +18,15 @@ from filmrec import (
 )
 from filmrec.graph import hop_distances
 
-from oracles import bfs_pop_order, brute_force_betweenness, component_graph, dict_bfs_betweenness, random_graph
+from oracles import (
+    bfs_pop_order,
+    brute_force_betweenness,
+    component_graph,
+    dict_bfs_betweenness,
+    random_graph,
+    shuffled_graph,
+    synthetic_graph,
+)
 
 
 def star() -> FilmGraph:
@@ -173,6 +180,37 @@ class TestBetweenness:
         assert seen["isolates"] and seen["several_components"] and seen["nonzero"]
 
 
+class TestPathKernelOracles:
+    @staticmethod
+    def graphs() -> list[FilmGraph]:
+        rng = random.Random(97)
+        return [
+            *(component_graph(rng) for _ in range(20)),
+            *(shuffled_graph(rng) for _ in range(20)),
+            synthetic_graph(0.0),
+            synthetic_graph(0.35),
+        ]
+
+    def test_hop_matrix_equals_hop_distances_from_every_source(self):
+        for g in self.graphs():
+            hops = g.paths().hops
+            assert hops.dtype == np.int32 and hops.shape == (g.node_count(), g.node_count())
+            for i, source in enumerate(g.nodes):
+                dist = hop_distances(g, source)
+                expected = [dist.get(target, -1) for target in g.nodes]
+                assert hops[i].tolist() == expected
+                assert g.hops(source) == expected
+
+    def test_betweenness_bit_identical_to_dict_bfs_brandes_at_real_sizes(self):
+        for g in self.graphs()[20:]:
+            fast = betweenness_centrality(g)
+            reference = dict_bfs_betweenness(g)
+            assert list(fast) == list(reference)
+            assert [value.hex() for value in fast.values()] == [value.hex() for value in reference.values()]
+        sparse = betweenness_centrality(synthetic_graph(0.35))
+        assert sum(value > 0.0 for value in sparse.values()) > 10
+
+
 class TestAverageCentrality:
     def test_published_row_51(self):
         assert average_centrality(0.0536, 0.8229, 0.5622) == pytest.approx(0.4796, abs=5e-5)
@@ -236,8 +274,8 @@ def test_hop_distances():
 
 
 def test_hop_distances_iterate_in_bfs_pop_order():
-    """Betweenness walks the memoised dict as its BFS order, so the dict's
-    order must be the FIFO dequeue order, with non-decreasing distances."""
+    """The BFS oracle's dict iterates in FIFO dequeue order, with
+    non-decreasing distances."""
     rng = random.Random(71)
     for _ in range(10):
         g = component_graph(rng)
@@ -248,29 +286,17 @@ def test_hop_distances_iterate_in_bfs_pop_order():
             assert distances == sorted(distances)
 
 
-def count_bfs(monkeypatch) -> Counter:
-    calls = Counter()
-    real = filmrec.graph.hop_distances
-
-    def counting(g, source):
-        calls[source] += 1
-        return real(g, source)
-
-    monkeypatch.setattr(filmrec.graph, "hop_distances", counting)
-    return calls
-
-
-class TestOneBfsPerSource:
-    def test_table_runs_one_bfs_per_node(self, monkeypatch):
+class TestOnePathPassPerGraph:
+    def test_table_runs_one_kernel_pass_and_no_bfs(self, traversals):
         g = component_graph(random.Random(73))
-        calls = count_bfs(monkeypatch)
         CentralityTable.compute(g)
-        assert calls == Counter(g.nodes)
+        assert [id(p) for p in traversals.passes] == [id(g.indptr)]
+        assert not traversals.bfs
 
-    def test_closeness_after_betweenness_runs_no_bfs(self, monkeypatch):
+    def test_closeness_after_betweenness_runs_no_second_pass(self, traversals):
         g = component_graph(random.Random(79))
         betweenness_centrality(g)
-        calls = count_bfs(monkeypatch)
         for node in g.nodes:
             closeness_centrality(g, node)
-        assert not calls
+            g.hops(node)
+        assert len(traversals.passes) == 1 and not traversals.bfs

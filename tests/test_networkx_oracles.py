@@ -7,14 +7,14 @@ import pytest
 
 from filmrec import betweenness_centrality, closeness_centrality, louvain, modularity_score
 
-from oracles import component_graph
+from oracles import component_graph, synthetic_graph
 
 nx = pytest.importorskip("networkx")
 
 
 def seeded_graphs():
     rng = random.Random(89)
-    return [component_graph(rng) for _ in range(20)]
+    return [component_graph(rng) for _ in range(20)] + [synthetic_graph(0.35)]
 
 
 def to_networkx(g):

@@ -3,10 +3,6 @@ from collections import Counter
 
 import pytest
 
-import filmrec.evaluation
-import filmrec.graph
-import filmrec.ranking
-
 from filmrec import (
     CentralityTable,
     Clustering,
@@ -312,30 +308,19 @@ class TestScoreOracle:
         assert seen["unreachable"] and seen["far"] and seen["non_preferred"]
 
 
-def test_one_bfs_per_source_per_graph(monkeypatch):
-    """Serving every user and evaluating the ego policy run each graph's BFS
-    at most once per source film."""
-    calls = Counter()
-    graphs = []
-    real = filmrec.graph.hop_distances
-
-    def counting(g, source):
-        graphs.append(g)  # keeps ids unique while counting
-        calls[(id(g), source)] += 1
-        return real(g, source)
-
-    # every module-level name of the BFS, so a private import is counted too
-    for module in (filmrec.graph, filmrec.ranking, filmrec.evaluation):
-        if hasattr(module, "hop_distances"):
-            monkeypatch.setattr(module, "hop_distances", counting)
+def test_one_kernel_pass_per_graph(traversals):
+    """Serving every user and evaluating the ego policy run one path-kernel
+    pass on each of the two graphs, and no single-source BFS."""
     view = generate_synthetic(SyntheticSpec(film_count=30, user_count=90, planted_cluster_count=3, seed=5))
     artifact = run_pipeline_from_view(view, PipelineConfig(edge_threshold=0.3))
     for user in artifact.profiles:
         recommend(artifact, user, 5)
     train, test = split_users(view, 80, 0.7, 2)
-    report = evaluate_method(EgoGraphPolicy(edge_threshold=0.3), train, test)
-    assert report.judgments and len(set(id(g) for g in graphs)) == 2
-    assert max(calls.values()) == 1
+    policy = EgoGraphPolicy(edge_threshold=0.3)
+    report = evaluate_method(policy, train, test)
+    assert report.judgments
+    assert [id(p) for p in traversals.passes] == [id(artifact.graph.indptr), id(policy.graph.indptr)]
+    assert not traversals.bfs
 
 
 class TestColdStart:
