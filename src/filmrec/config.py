@@ -36,7 +36,13 @@ class PipelineConfig:
     )
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "averaging_policy": self.averaging_policy.value}
+        """Field values as JSON gives them back: a number in a float field is
+        written as a float, so a load/save cycle keeps the same text."""
+        values = {**asdict(self), "averaging_policy": self.averaging_policy.value}
+        for option in fields(self):
+            if option.type is float and _is_a(values[option.name], float):
+                values[option.name] = float(values[option.name])
+        return values
 
     @classmethod
     def from_dict(cls, values: Mapping) -> "PipelineConfig":

@@ -7,6 +7,13 @@ the similarity layer treats the two cases differently. It keeps one store,
 keyed by user: each user's ``{film: pct}`` dict, with one string object per
 film id. A film's column (``film_views``) is gathered from the users on each
 call, at O(users) cost; a user restriction shares the kept users' dicts.
+
+Rows are checked once, by ``_valid_rows`` over ``csv.reader`` (with
+``csv.DictReader``'s header, blank-row and short-row rules), and folded
+once, by ``_fold``, which keeps each pair's maximum straight in the per-user
+dicts. ``read_view_matrix`` joins the two in one pass with no per-row
+objects; ``parse_events`` and ``build_view_matrix`` are the same two steps
+with ``ViewingEvent``s in between.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .errors import DataError, FormatError, RowError
 
@@ -33,6 +40,17 @@ def ident_sort_key(ident: str) -> tuple[int, int, str]:
         return (1, 0, ident)
 
 
+def _duration_error(watch: float, total: float) -> str | None:
+    """Why a pair of durations is invalid, or None if it is valid."""
+    # A chained comparison is False for nan, so each check also rejects
+    # every non-finite duration.
+    if not 0.0 < total < math.inf:
+        return f"total_seconds must be finite and positive, got {total}"
+    if not 0.0 <= watch < math.inf:
+        return f"watch_seconds must be finite and non-negative, got {watch}"
+    return None
+
+
 @dataclass(frozen=True)
 class ViewingEvent:
     film_id: str
@@ -41,12 +59,61 @@ class ViewingEvent:
     total_seconds: float
 
     def __post_init__(self):
-        # A chained comparison is False for nan, so each check also rejects
-        # every non-finite duration.
-        if not 0.0 < self.total_seconds < math.inf:
-            raise DataError(f"total_seconds must be finite and positive, got {self.total_seconds}")
-        if not 0.0 <= self.watch_seconds < math.inf:
-            raise DataError(f"watch_seconds must be finite and non-negative, got {self.watch_seconds}")
+        error = _duration_error(self.watch_seconds, self.total_seconds)
+        if error is not None:
+            raise DataError(error)
+
+
+_Row = tuple[str, str, float, float]
+
+
+def _valid_rows(stream: Iterable[str] | TextIO, skip_bad_rows: bool) -> Iterator[_Row]:
+    """``(film, user, watch, total)`` per valid data row, read as
+    ``csv.DictReader`` would: the first physical row is the header (for a
+    repeated name the last column wins), blank rows are skipped and missing
+    fields read as None. A malformed row raises ``RowError`` with its line
+    number; with ``skip_bad_rows`` it is skipped, and one WARNING per read
+    gives the count and the first one."""
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        raise FormatError("empty input: no header row")
+    missing = [c for c in CSV_COLUMNS if c not in header]
+    if missing:
+        raise FormatError(f"missing required columns: {', '.join(missing)}")
+    column = {name: index for index, name in enumerate(header)}
+    i_film, i_user, i_watch, i_total = (column[c] for c in CSV_COLUMNS)
+    width = max(i_film, i_user, i_watch, i_total) + 1
+
+    skipped, first_skipped = 0, None
+    for row in reader:
+        if len(row) < width:
+            if not row:
+                continue
+            row = row + [None] * (width - len(row))
+        try:
+            film_id = (row[i_film] or "").strip()
+            user_id = (row[i_user] or "").strip()
+            if not film_id or not user_id:
+                raise RowError(reader.line_num, "empty film_id or user_id")
+            try:
+                watch = float(row[i_watch])
+                total = float(row[i_total])
+            except (TypeError, ValueError):
+                raise RowError(reader.line_num, f"non-numeric durations: {row[i_watch]!r}, {row[i_total]!r}")
+            error = _duration_error(watch, total)
+            if error is not None:
+                raise RowError(reader.line_num, error)
+        except RowError as exc:
+            if not skip_bad_rows:
+                raise
+            logger.debug("skipping malformed row: %s", exc)
+            skipped += 1
+            first_skipped = first_skipped or exc
+            continue
+        yield film_id, user_id, watch, total
+    if skipped:
+        logger.warning("skipped %d malformed rows; first at %s", skipped, first_skipped)
 
 
 def parse_events(stream: Iterable[str] | TextIO, *, skip_bad_rows: bool = False) -> list[ViewingEvent]:
@@ -54,38 +121,9 @@ def parse_events(stream: Iterable[str] | TextIO, *, skip_bad_rows: bool = False)
 
     The stream must have a header row with the columns in ``CSV_COLUMNS``
     (extra columns are ignored). Malformed rows raise ``RowError`` with the
-    offending line number, or are logged and skipped when ``skip_bad_rows``
-    is set.
+    offending line number, or are skipped when ``skip_bad_rows`` is set.
     """
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise FormatError("empty input: no header row")
-    missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
-    if missing:
-        raise FormatError(f"missing required columns: {', '.join(missing)}")
-
-    events: list[ViewingEvent] = []
-    for row in reader:
-        line = reader.line_num
-        try:
-            film_id = (row["film_id"] or "").strip()
-            user_id = (row["user_id"] or "").strip()
-            if not film_id or not user_id:
-                raise RowError(line, "empty film_id or user_id")
-            try:
-                watch = float(row["watch_seconds"])
-                total = float(row["total_seconds"])
-            except (TypeError, ValueError):
-                raise RowError(line, f"non-numeric durations: {row['watch_seconds']!r}, {row['total_seconds']!r}")
-            try:
-                events.append(ViewingEvent(film_id, user_id, watch, total))
-            except DataError as exc:
-                raise RowError(line, str(exc))
-        except RowError as exc:
-            if not skip_bad_rows:
-                raise
-            logger.warning("skipping malformed row: %s", exc)
-    return events
+    return [ViewingEvent(*row) for row in _valid_rows(stream, skip_bad_rows)]
 
 
 class ViewMatrix:
@@ -110,6 +148,16 @@ class ViewMatrix:
         self._films = tuple(sorted(film_ids, key=ident_sort_key))
         self._users = tuple(sorted(set(by_user).union(users or ()), key=ident_sort_key))
         self._by_user = by_user
+
+    @classmethod
+    def _of(cls, by_user: dict[str, dict[str, float]], films: Iterable[str]) -> "ViewMatrix":
+        """A matrix over prepared per-user dicts (values in [0, 1], one
+        object per film id), taken as they are; its users are their keys."""
+        view = object.__new__(cls)
+        view._films = tuple(sorted(films, key=ident_sort_key))
+        view._users = tuple(sorted(by_user, key=ident_sort_key))
+        view._by_user = by_user
+        return view
 
     @property
     def films(self) -> tuple[str, ...]:
@@ -171,25 +219,46 @@ def build_view_matrix(events: Iterable[ViewingEvent], clamp: bool = True) -> Vie
     (replays within one event) are clamped to 1 by default; with
     ``clamp=False`` they are rejected.
     """
-    entries: dict[tuple[str, str], float] = {}
-    seen_any = False
-    for event in events:
-        seen_any = True
-        ratio = event.watch_seconds / event.total_seconds
+    return _fold(((e.film_id, e.user_id, e.watch_seconds, e.total_seconds) for e in events), clamp)
+
+
+def read_view_matrix(
+    stream: Iterable[str] | TextIO, *, clamp: bool = True, skip_bad_rows: bool = False
+) -> ViewMatrix:
+    """``build_view_matrix(parse_events(stream, …), clamp)`` in one pass:
+    each valid row is folded as it is read, with no event objects."""
+    return _fold(_valid_rows(stream, skip_bad_rows), clamp)
+
+
+def _fold(rows: Iterable[_Row], clamp: bool) -> ViewMatrix:
+    """Max-fold valid rows straight into the per-user dicts. Users and each
+    user's films keep first-sighting order. With ``clamp=False`` the first
+    ratio above 1 is raised once every row has been read, so a malformed
+    later row is reported first."""
+    film_ids: dict[str, str] = {}
+    by_user: dict[str, dict[str, float]] = {}
+    excess = None
+    for film, user, watch, total in rows:
+        ratio = watch / total
         if ratio > 1.0:
             if not clamp:
-                raise DataError(
-                    f"watch time exceeds duration for film {event.film_id}, user {event.user_id}: "
-                    f"{event.watch_seconds}s of {event.total_seconds}s"
-                )
+                excess = excess or (film, user, watch, total)
+                continue
             ratio = 1.0
-        key = (event.film_id, event.user_id)
-        prev = entries.get(key)
-        if prev is None or ratio > prev:
-            entries[key] = ratio
-    if not seen_any:
+        views = by_user.get(user)
+        if views is None:
+            views = by_user[user] = {}
+        prev = views.get(film)
+        if prev is None:
+            views[film_ids.setdefault(film, film)] = ratio
+        elif ratio > prev:
+            views[film] = ratio
+    if excess is not None:
+        film, user, watch, total = excess
+        raise DataError(f"watch time exceeds duration for film {film}, user {user}: {watch}s of {total}s")
+    if not by_user:
         raise DataError("no viewing events")
-    return ViewMatrix(entries)
+    return ViewMatrix._of(by_user, film_ids)
 
 
 def write_view_matrix_csv(view: ViewMatrix, stream: TextIO) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+import time
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -10,26 +12,30 @@ from .artifact import PipelineArtifact
 from .community import louvain
 from .config import PipelineConfig, validate_config
 from .errors import DomainError, StageError
-from .graph import CentralityTable, build_graph
-from .ingest import ViewMatrix, build_view_matrix, parse_events
+from .graph import CentralityTable, FilmGraph, build_graph
+from .ingest import ViewMatrix, read_view_matrix
 from .profiles import build_profiles
 from .ranking import RecommendationList, rank_cold_start, rank_for_user
 from .similarity import average_similarity
 
+logger = logging.getLogger(__name__)
+
 
 @contextmanager
 def _stage(name: str):
+    """Names the stage on any failure (``StageError``) and logs its time at INFO."""
+    start = time.perf_counter()
     try:
         yield
     except Exception as exc:
         raise StageError(name, exc) from exc
+    logger.info("stage %s: %.1f ms", name, (time.perf_counter() - start) * 1e3)
 
 
 def load_view_matrix(events_path: str | Path, config: PipelineConfig, *, skip_bad_rows: bool = False) -> ViewMatrix:
     with _stage("ingest"):
         with open(events_path, newline="", encoding="utf-8") as stream:
-            events = parse_events(stream, skip_bad_rows=skip_bad_rows)
-        return build_view_matrix(events, clamp=config.clamp)
+            return read_view_matrix(stream, clamp=config.clamp, skip_bad_rows=skip_bad_rows)
 
 
 def run_pipeline_from_view(view: ViewMatrix, config: PipelineConfig) -> PipelineArtifact:
@@ -38,6 +44,7 @@ def run_pipeline_from_view(view: ViewMatrix, config: PipelineConfig) -> Pipeline
         similarity = average_similarity(view, config.averaging_policy)
     with _stage("graph"):
         graph = build_graph(similarity, config.edge_threshold)
+    _warn_if_degenerate(graph, config.edge_threshold)
     with _stage("centrality"):
         centrality = CentralityTable.compute(graph)
     with _stage("cluster"):
@@ -45,6 +52,17 @@ def run_pipeline_from_view(view: ViewMatrix, config: PipelineConfig) -> Pipeline
     with _stage("profiles"):
         profiles = build_profiles(view, config.preference_threshold)
     return PipelineArtifact.build(config, similarity, graph, centrality, clustering, profiles)
+
+
+def _warn_if_degenerate(graph: FilmGraph, edge_threshold: float) -> None:
+    """In a complete or an edgeless graph every film has the same degree,
+    closeness and betweenness, so centrality cannot tell films apart."""
+    nodes = graph.node_count()
+    edges = graph.edge_count()
+    if nodes < 2 or 0 < edges < nodes * (nodes - 1) // 2:
+        return
+    shape = "edgeless" if edges == 0 else "complete"
+    logger.warning("similarity graph is %s: %d edges at edge_threshold %s", shape, edges, edge_threshold)
 
 
 def run_pipeline(events_path: str | Path, config: PipelineConfig, *, skip_bad_rows: bool = False) -> PipelineArtifact:

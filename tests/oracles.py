@@ -5,31 +5,40 @@ explicitly enumerating every shortest path per ordered node pair, or bit for
 bit by a Brandes pass with its own BFS, modularity maxima by scoring every
 set partition, and averaged similarity by materializing the full per-user
 dual-similarity tensor before aggregating, or by the scalar films x films x
-users loop, and the kNN and Naive Bayes baselines by their dict loops.
+users loop, the kNN and Naive Bayes baselines by their dict loops, and
+ingest by the ``csv.DictReader`` parser and the (film, user)-keyed fold.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
+import logging
 import math
 import random
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TextIO
 
 import numpy as np
 
 from filmrec import (
+    DataError,
     DomainError,
     FilmGraph,
+    FormatError,
+    RowError,
     SyntheticSpec,
+    ViewingEvent,
     ViewMatrix,
     average_similarity,
     build_graph,
     generate_synthetic,
     modularity_score,
 )
-from filmrec.ingest import ident_sort_key
+from filmrec.ingest import CSV_COLUMNS, ident_sort_key
 from filmrec.similarity import NOT_COMPARABLE, AveragingPolicy, dual_similarity
+
+logger = logging.getLogger(__name__)
 
 
 def bfs_parents(g: FilmGraph, source: str):
@@ -364,3 +373,71 @@ def monte_carlo_random_judge_accuracy(trials: int, seed: int) -> float:
         if (rs > 0.0) == label_preferred:
             correct += 1
     return correct / trials
+
+
+def parse_events(stream: Iterable[str] | TextIO, *, skip_bad_rows: bool = False) -> list[ViewingEvent]:
+    """Parse a CSV event log into viewing events.
+
+    The stream must have a header row with the columns in ``CSV_COLUMNS``
+    (extra columns are ignored). Malformed rows raise ``RowError`` with the
+    offending line number, or are logged and skipped when ``skip_bad_rows``
+    is set.
+    """
+    reader = csv.DictReader(stream)
+    if reader.fieldnames is None:
+        raise FormatError("empty input: no header row")
+    missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise FormatError(f"missing required columns: {', '.join(missing)}")
+
+    events: list[ViewingEvent] = []
+    for row in reader:
+        line = reader.line_num
+        try:
+            film_id = (row["film_id"] or "").strip()
+            user_id = (row["user_id"] or "").strip()
+            if not film_id or not user_id:
+                raise RowError(line, "empty film_id or user_id")
+            try:
+                watch = float(row["watch_seconds"])
+                total = float(row["total_seconds"])
+            except (TypeError, ValueError):
+                raise RowError(line, f"non-numeric durations: {row['watch_seconds']!r}, {row['total_seconds']!r}")
+            try:
+                events.append(ViewingEvent(film_id, user_id, watch, total))
+            except DataError as exc:
+                raise RowError(line, str(exc))
+        except RowError as exc:
+            if not skip_bad_rows:
+                raise
+            logger.warning("skipping malformed row: %s", exc)
+    return events
+
+
+def build_view_matrix(events: Iterable[ViewingEvent], clamp: bool = True) -> ViewMatrix:
+    """Fold events into a ViewMatrix.
+
+    Repeated (film, user) events keep the maximum percentage, so re-watches
+    count once and the result does not depend on event order. Ratios above 1
+    (replays within one event) are clamped to 1 by default; with
+    ``clamp=False`` they are rejected.
+    """
+    entries: dict[tuple[str, str], float] = {}
+    seen_any = False
+    for event in events:
+        seen_any = True
+        ratio = event.watch_seconds / event.total_seconds
+        if ratio > 1.0:
+            if not clamp:
+                raise DataError(
+                    f"watch time exceeds duration for film {event.film_id}, user {event.user_id}: "
+                    f"{event.watch_seconds}s of {event.total_seconds}s"
+                )
+            ratio = 1.0
+        key = (event.film_id, event.user_id)
+        prev = entries.get(key)
+        if prev is None or ratio > prev:
+            entries[key] = ratio
+    if not seen_any:
+        raise DataError("no viewing events")
+    return ViewMatrix(entries)

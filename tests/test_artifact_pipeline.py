@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -73,6 +74,10 @@ class TestConfig:
         config = PipelineConfig(edge_threshold=0.3, seed=11)
         assert PipelineConfig.from_dict(config.to_dict()) == config
 
+    def test_snapshot_writes_float_fields_as_floats(self):
+        snapshot = PipelineConfig(edge_threshold=0, seed=3).to_dict()
+        assert (type(snapshot["edge_threshold"]), type(snapshot["seed"])) == (float, int)
+
 
 class TestRunPipeline:
     def test_from_events_file(self, events_file):
@@ -113,6 +118,31 @@ class TestRunPipeline:
     def test_mistyped_config_field_is_refused_before_any_stage(self, small_view, start):
         with pytest.raises(DomainError, match="expected"):
             start(small_view)
+
+
+class TestRunLog:
+    def test_every_stage_logs_its_time_at_info(self, events_file, caplog):
+        with caplog.at_level(logging.INFO, logger="filmrec.pipeline"):
+            run_pipeline(events_file, PipelineConfig())
+        stages = [r.getMessage().split(":")[0] for r in caplog.records if r.levelno == logging.INFO]
+        assert stages == [
+            f"stage {name}" for name in ("ingest", "similarity", "graph", "centrality", "cluster", "profiles")
+        ]
+
+    @pytest.mark.parametrize(
+        "edge_threshold, message",
+        [
+            (0.0, "similarity graph is complete: 66 edges at edge_threshold 0.0"),
+            (0.9, "similarity graph is edgeless: 0 edges at edge_threshold 0.9"),
+            (0.35, None),
+        ],
+    )
+    def test_degenerate_graph_is_warned_about(self, small_view, caplog, edge_threshold, message):
+        with caplog.at_level(logging.WARNING, logger="filmrec.pipeline"):
+            artifact = run_pipeline_from_view(small_view, PipelineConfig(edge_threshold=edge_threshold))
+        if message is None:
+            assert 0 < artifact.graph.edge_count() < 66
+        assert [r.getMessage() for r in caplog.records] == ([message] if message else [])
 
 
 class TestArtifactSerialization:
@@ -340,7 +370,7 @@ class TestArtifactSerialization:
         assert [id(p) for p in traversals.passes] == [id(loaded.graph.indptr)]
         assert not traversals.bfs
 
-    @pytest.mark.parametrize("edge_threshold", [0.0, 0.35])
+    @pytest.mark.parametrize("edge_threshold", [0, 0.0, 0.35])
     def test_save_of_load_is_byte_identical(self, tmp_path, small_view, edge_threshold):
         saved, resaved = tmp_path / "saved.json", tmp_path / "resaved.json"
         run_pipeline_from_view(small_view, PipelineConfig(edge_threshold=edge_threshold)).save(saved)

@@ -1,13 +1,26 @@
+import importlib
 import io
+import logging
 import math
 import random
+from pathlib import Path
 
+import oracles
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filmrec import DataError, FormatError, RowError, ViewingEvent, ViewMatrix, build_view_matrix, parse_events
-from filmrec.ingest import ident_sort_key
+from filmrec import (
+    DataError,
+    FormatError,
+    RowError,
+    SyntheticSpec,
+    ViewingEvent,
+    ViewMatrix,
+    build_view_matrix,
+    parse_events,
+)
+from filmrec.ingest import CSV_COLUMNS, ident_sort_key, read_view_matrix
 
 HEADER = "film_id,user_id,watch_seconds,total_seconds\n"
 
@@ -48,6 +61,21 @@ def test_parse_skip_bad_rows_keeps_good_ones(caplog):
     text = HEADER + "1,2,50,100\nx,1,10,0\n3,4,25,100\n"
     events = parse(text, skip_bad_rows=True)
     assert [e.film_id for e in events] == ["1", "3"]
+
+
+@pytest.mark.parametrize("read", [parse, lambda text, **kw: read_view_matrix(io.StringIO(text), **kw)])
+def test_skipped_rows_are_reported_once_per_read(caplog, read):
+    text = HEADER + "1,2,50,100\n\n3,,10,100\n4,5,abc,100\n6,7,10,0\n8,9,25,100\n"
+    with caplog.at_level(logging.DEBUG, logger="filmrec.ingest"):
+        read(text, skip_bad_rows=True)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["skipped 3 malformed rows; first at line 4: empty film_id or user_id"]
+    assert sum(r.levelno == logging.DEBUG for r in caplog.records) == 3
+
+
+def test_clean_read_logs_no_warning(caplog):
+    read_view_matrix(io.StringIO(HEADER + "1,2,50,100\n"), skip_bad_rows=True)
+    assert not caplog.records
 
 
 NON_FINITE = ["nan", "inf", "-inf", "1e400"]
@@ -212,3 +240,115 @@ def test_view_matrix_keeps_one_object_per_film_id():
     for sub in (view, view.restrict_users(["a", "c"])):
         for user in sub.users:
             assert all(key is film for key in sub.user_views(user))
+
+
+def reference_read(text: str, *, clamp: bool = True, skip_bad_rows: bool = False) -> ViewMatrix:
+    """The ``csv.DictReader`` parser and the (film, user)-keyed fold that the
+    single-pass reader replaced."""
+    return oracles.build_view_matrix(oracles.parse_events(io.StringIO(text), skip_bad_rows=skip_bad_rows), clamp)
+
+
+def outcome(read, text: str, **kwargs):
+    """The matrix with its user and per-user film order, or the error."""
+    try:
+        view = read(text, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    films = {film: film for film in view.films}
+    for user in view.users:
+        assert all(films[film] is film for film in view.user_views(user))
+    return view, list(view.entries().items())
+
+
+def single_pass(text: str, **kwargs) -> ViewMatrix:
+    return read_view_matrix(io.StringIO(text), **kwargs)
+
+
+# valid cells repeated, so that most rows are valid
+ID_CELLS = ["1", "2", "10", " 3 ", "a"] * 4 + ["", "  "]
+BAD_DURATIONS = ["-0", "-1", "nan", "inf", "-inf", "1e400", "abc", ""]
+DURATION_CELLS = ["0", "50", "100", "150", " 30 ", "2e-320"] * 4 + BAD_DURATIONS
+CELLS = dict(film_id=ID_CELLS, user_id=ID_CELLS, watch_seconds=DURATION_CELLS, total_seconds=DURATION_CELLS)
+EXTRA_COLUMNS = ["device", *CSV_COLUMNS, ""]
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly a full header (with repeated or extra columns) and rows with a
+    cell of the column's kind; sometimes a broken header or a row that is
+    blank, short, long or of random cells."""
+    if draw(st.integers(0, 9)) < 8:
+        extra = draw(st.lists(st.sampled_from(EXTRA_COLUMNS), max_size=2))
+        header = draw(st.permutations([*CSV_COLUMNS, *extra]))
+    else:
+        header = draw(st.lists(st.sampled_from(EXTRA_COLUMNS), max_size=5))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(st.sampled_from(CELLS.get(name, ["x", ""]))) for name in header]
+        shape = draw(st.sampled_from(["fit"] * 6 + ["blank", "short", "long", "random"]))
+        if shape == "blank":
+            row = []
+        elif shape == "short":
+            row = row[: draw(st.integers(1, max(len(row) - 1, 1)))]
+        elif shape == "long":
+            row += draw(st.lists(st.sampled_from(ID_CELLS), min_size=1, max_size=2))
+        elif shape == "random":
+            row = draw(st.lists(st.sampled_from(ID_CELLS + DURATION_CELLS), max_size=6))
+        lines.append(",".join(row))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(st.just(""), csv_texts()), clamp=st.booleans(), skip_bad_rows=st.booleans())
+def test_single_pass_read_equals_dictreader_oracle(text, clamp, skip_bad_rows):
+    """Blank lines, short and long rows, repeated or extra header columns,
+    blank ids, non-finite and negative durations and replays: the single
+    pass gives the oracle's matrix in the same order, or its error."""
+    kwargs = dict(clamp=clamp, skip_bad_rows=skip_bad_rows)
+    assert outcome(single_pass, text, **kwargs) == outcome(reference_read, text, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n" + HEADER + "1,2,50,100\n",
+        HEADER,
+        HEADER + "\n\n1,2,50,100\n\n",
+        HEADER + "1,2\n",
+        HEADER + "1,2,50\n",
+        "film_id,user_id,watch_seconds,total_seconds,film_id\n1,2,50,100,7\n",
+        "film_id,user_id,watch_seconds,total_seconds,film_id\n1,2,50,100\n",
+        HEADER + "1,2,50,100,extra,cells\n",
+        HEADER + "1,2,150,100\n3,4,200,100\n",
+        HEADER + "1,2,150,100\n3,4,x,100\n",
+    ],
+)
+@pytest.mark.parametrize("clamp", [True, False])
+def test_dictreader_edge_cases(text, clamp):
+    assert outcome(single_pass, text, clamp=clamp) == outcome(reference_read, text, clamp=clamp)
+
+
+def test_replay_rejection_waits_for_the_whole_file():
+    """With clamp=False the first replay is named, but a malformed later
+    row is reported first, as when parsing came before folding."""
+    replays = HEADER + "1,2,150,100\n3,4,200,100\n"
+    with pytest.raises(DataError, match="film 1, user 2: 150.0s of 100.0s"):
+        single_pass(replays, clamp=False)
+    with pytest.raises(RowError, match="line 4: non-numeric"):
+        single_pass(replays + "5,6,x,100\n", clamp=False)
+
+
+def test_single_pass_read_equals_oracle_on_a_benchmark_sized_file(tmp_path, monkeypatch):
+    """120 films x 500 users with re-watch rows, written by the build
+    benchmark's own input generator."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    inputs = importlib.import_module("inputs")
+    path = tmp_path / "events.csv"
+    expected = inputs.write_events(path, SyntheticSpec(film_count=120, user_count=500, seed=1))
+    text = path.read_text(encoding="utf-8")
+    view, order = outcome(single_pass, text)
+    assert (view, order) == outcome(reference_read, text)
+    assert view == expected
+    assert build_view_matrix(parse(text)) == view
