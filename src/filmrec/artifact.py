@@ -153,8 +153,9 @@ class PipelineArtifact:
         similarity is symmetric, in [0, 1] and has a 0.0/1.0 diagonal; the
         centrality components are floats in [0, 1]; clustering and
         centrality cover exactly the film set with dense integer cluster
-        ids; profiles name only known films. The graph, the AC column and
-        the modularity are derived from the state, so they are not rebuilt."""
+        ids; profiles name only known films, each at most once. The graph,
+        the AC column and the modularity are derived from the state, so they
+        are not rebuilt."""
         components = {film: (r.degree_c, r.closeness_c, r.betweenness_c) for film, r in self.centrality.rows.items()}
         _check_state(self.config, self.similarity, components, self.clustering.assignment, self.profiles)
 
@@ -191,5 +192,8 @@ def _check_state(
         if not all(isinstance(c, float) and 0.0 <= c <= 1.0 for c in row):
             raise DataError(f"artifact centrality row for {film} has a component outside [0, 1]")
     for user, profile in profiles.items():
-        if not films.issuperset(profile.preferred + profile.non_preferred):
+        named = profile.preferred + profile.non_preferred
+        if not films.issuperset(named):
             raise DataError(f"artifact profile for {user} names films outside the film set")
+        if len(set(named)) < len(named):
+            raise DataError(f"artifact profile for {user} names a film twice")

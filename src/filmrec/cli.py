@@ -28,7 +28,7 @@ from .ingest import write_view_matrix_csv
 from .pipeline import load_view_matrix, recommend, run_pipeline
 from .profiles import build_profiles, write_profiles_csv
 from .ranking import write_recommendations_csv
-from .server import serve
+from .server import parse_bind, serve
 from .similarity import average_similarity, write_dual_similarity_csv, write_similarity_csv
 
 BIND_ENV_VAR = "FILMREC_BIND"
@@ -197,9 +197,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    artifact = PipelineArtifact.load(args.artifact)
-    bind = args.bind or os.environ.get(BIND_ENV_VAR) or DEFAULT_BIND
-    serve(artifact, bind)
+    host, port = parse_bind(args.bind or os.environ.get(BIND_ENV_VAR) or DEFAULT_BIND)
+    serve(PipelineArtifact.load(args.artifact), host, port)
     return 0
 
 

@@ -5,7 +5,9 @@ Modularity of a partition is
     Q = sum_r (e_rr - a_r^2)
 
 where e_rr is the fraction of total edge weight inside cluster r and a_r is
-the fraction of weighted degree attached to cluster r. The optimizer is the
+the fraction of weighted degree attached to cluster r. One level formula
+computes it, for ``modularity_score`` on the graph's first level (read off
+its CSR arrays) and for every ``louvain`` level. The optimizer is the
 classic two-phase scheme: sweep nodes, greedily moving each to the
 neighboring cluster with the largest strictly positive modularity gain, then
 collapse clusters into super-nodes (keeping intra-cluster weight as
@@ -47,27 +49,20 @@ class Clustering:
 
 def modularity_score(g: FilmGraph, assignment: Mapping[str, int]) -> float:
     """Modularity Q of a partition; 0 for edgeless graphs."""
-    for node in g.nodes:
-        if node not in assignment:
-            raise DomainError(f"node {node} missing from assignment")
-    total_weight = sum(weight for _, _, weight in g.edges())
-    if total_weight == 0.0:
-        return 0.0
-    intra: dict[int, float] = {}
-    degree: dict[int, float] = {}
-    for node in g.nodes:
-        cluster = assignment[node]
-        degree[cluster] = degree.get(cluster, 0.0) + g.strength(node)
-    for a, b, weight in g.edges():
-        if assignment[a] == assignment[b]:
-            cluster = assignment[a]
-            intra[cluster] = intra.get(cluster, 0.0) + weight
-    q = 0.0
-    for cluster in sorted(degree):
-        e_rr = intra.get(cluster, 0.0) / total_weight
-        a_r = degree[cluster] / (2.0 * total_weight)
-        q += e_rr - a_r * a_r
-    return q
+    missing = [node for node in g.nodes if node not in assignment]
+    if missing:
+        raise DomainError(f"node {missing[0]} missing from assignment")
+    adj, total_weight = _first_level(g)
+    comm = [assignment[node] for node in g.nodes]
+    return _level_modularity(adj, [0.0] * len(adj), comm, total_weight) if total_weight else 0.0
+
+
+def _first_level(g: FilmGraph) -> tuple[list[dict[int, float]], float]:
+    """The graph as a level graph (neighbour weights by node index, in edge
+    order) and its total edge weight, added in ``edges()`` order."""
+    indptr, indices, weights = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
+    adj = [dict(zip(indices[lo:hi], weights[lo:hi])) for lo, hi in zip(indptr, indptr[1:])]
+    return adj, sum(weight for i, neighbors in enumerate(adj) for j, weight in neighbors.items() if j > i)
 
 
 def _level_modularity(
@@ -76,7 +71,7 @@ def _level_modularity(
     comm: list[int],
     total_weight: float,
 ) -> float:
-    """Modularity of a level graph (with self-loops) under ``comm``."""
+    """Modularity of a level graph (with self-loops) under ``comm``: the one Q formula."""
     s_in: dict[int, float] = {}
     s_tot: dict[int, float] = {}
     for i, neighbors in enumerate(adj):
@@ -89,7 +84,8 @@ def _level_modularity(
                 s_in[c] += weight
     q = 0.0
     for c in sorted(s_tot):
-        q += s_in.get(c, 0.0) / total_weight - (s_tot[c] / (2.0 * total_weight)) ** 2
+        share = s_tot[c] / (2.0 * total_weight)
+        q += s_in[c] / total_weight - share * share
     return q
 
 
@@ -111,22 +107,15 @@ def louvain(
     n = g.node_count()
     if n == 0:
         raise DomainError("empty graph")
-    order_of = {node: i for i, node in enumerate(g.nodes)}
-
-    total_weight = sum(weight for _, _, weight in g.edges())
+    adj, total_weight = _first_level(g)
     if total_weight == 0.0:
         assignment = {node: i for i, node in enumerate(g.nodes)}
         return Clustering(assignment, 0.0)
 
-    # Level graph state: nodes 0..m-1, adjacency without self-edges, separate
+    # Level graph state: nodes 0..m-1, ``adj`` without self-edges, separate
     # self-loop weights, and the original node indices each level node holds.
-    adj: list[dict[int, float]] = [{} for _ in range(n)]
     loop: list[float] = [0.0] * n
     members: list[list[int]] = [[i] for i in range(n)]
-    for a, b, weight in g.edges():
-        ia, ib = order_of[a], order_of[b]
-        adj[ia][ib] = weight
-        adj[ib][ia] = weight
 
     q_running = _level_modularity(adj, loop, list(range(n)), total_weight)
 

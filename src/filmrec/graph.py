@@ -1,16 +1,17 @@
 """Film relationship graph and centrality measures.
 
 Films are nodes; an edge carries the averaged similarity of its endpoints.
-Degree centrality is weighted (incident-weight sum over n-1), while the
-path-based measures run on unweighted hop counts over the thresholded graph:
-distances downstream are defined as link counts, so hops are the consistent
-metric. Betweenness sums over ordered source/target pairs and is scaled by
-1/n^2; closeness uses reachable-set scaling so disconnected graphs stay in
-[0, 1].
+``FilmGraph`` keeps its edges once, as CSR arrays of node positions with
+parallel weights, and maps film ids to positions in its methods. Degree
+centrality is weighted (incident-weight sum over n-1), while the path-based
+measures run on unweighted hop counts over the thresholded graph: distances
+downstream are defined as link counts, so hops are the consistent metric.
+Betweenness sums over ordered source/target pairs and is scaled by 1/n^2;
+closeness uses reachable-set scaling so disconnected graphs stay in [0, 1].
 
 Betweenness, closeness and ranking read one all-sources path kernel per
 graph (``FilmGraph.paths``): a level-synchronous BFS from every source at
-once over CSR neighbour arrays (Kepner & Gilbert 2011) that yields the
+once over those arrays (Kepner & Gilbert 2011) that yields the
 ``int32[n, n]`` hop matrix and Brandes' (2001) dependency sums. It adds in
 the order a per-source dict Brandes adds, so its floats are bit-identical
 to that loop. ``hop_distances`` stays as the single-source BFS oracle.
@@ -37,27 +38,38 @@ _BLOCK_PAIRS = 1 << 17
 
 
 class FilmGraph:
-    """Weighted undirected graph over films. The edges are immutable once
-    built. ``indptr``/``indices`` hold each node's neighbours as node
-    indices, in adjacency-dict order (CSR). The path kernel runs on first
-    use of ``paths`` and is kept; racing first calls each compute the same
-    result and one of them is kept."""
+    """Immutable weighted undirected graph: node i's neighbours are
+    ``indices[indptr[i]:indptr[i + 1]]``, in edge order, their weights at the
+    same positions of ``weights``. The path kernel runs on first use of
+    ``paths`` and is kept; racing first calls compute the same result."""
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str, float]]):
         self.nodes = tuple(nodes)
-        self._order = {node: i for i, node in enumerate(self.nodes)}
-        adjacency: dict[str, dict[str, float]] = {node: {} for node in self.nodes}
-        for a, b, weight in edges:
-            if a == b:
-                raise DomainError(f"self-loop on {a}")
-            if not 0.0 < weight <= 1.0:
-                raise DomainError(f"edge weight outside (0, 1]: {weight}")
-            adjacency[a][b] = weight
-            adjacency[b][a] = weight
-        self.adjacency = adjacency
-        order = self._order
-        self.indptr = np.cumsum([0, *map(len, adjacency.values())], dtype=np.intp)
-        self.indices = np.array([order[b] for nbrs in adjacency.values() for b in nbrs], dtype=np.intp)
+        self._order = order = {node: i for i, node in enumerate(self.nodes)}
+        n = len(self.nodes)
+        ends, weights = [], []
+        for head, tail, weight in edges:
+            ends += order[head], order[tail]
+            weights.append(weight)
+        owner = np.array(ends, dtype=np.intp)
+        a, b, weight = owner[0::2], owner[1::2], np.array(weights, dtype=np.float64)
+        bad = (a == b) | ~((weight > 0.0) & (weight <= 1.0))
+        if bad.any():
+            k = bad.argmax()
+            if a[k] == b[k]:
+                raise DomainError(f"self-loop on {self.nodes[a[k]]}")
+            raise DomainError(f"edge weight outside (0, 1]: {weights[k]}")
+        pairs = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+        repeated = pairs[1:][pairs[1:] == pairs[:-1]]
+        if len(repeated):
+            low, high = divmod(int(repeated[0]), n)
+            raise DomainError(f"repeated edge {self.nodes[low]}-{self.nodes[high]}")
+        # Edge k's ends sit at positions 2k and 2k + 1 of owner, so a stable
+        # sort by owner keeps every node's neighbours in edge order.
+        position = np.argsort(owner, kind="stable")
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n)))).astype(np.intp)
+        self.indices = np.column_stack((b, a)).ravel()[position]
+        self.weights = np.repeat(weight, 2)[position]
         self._paths: ShortestPaths | None = None
 
     def __contains__(self, node: str) -> bool:
@@ -73,18 +85,21 @@ class FilmGraph:
         return len(self.indices) // 2
 
     def neighbors(self, node: str) -> dict[str, float]:
-        return self.adjacency[node]
+        """Each neighbour's edge weight, in edge order."""
+        i = self._order[node]
+        row = slice(self.indptr[i], self.indptr[i + 1])
+        return dict(zip(map(self.nodes.__getitem__, self.indices[row].tolist()), self.weights[row].tolist()))
 
     def edges(self) -> Iterator[tuple[str, str, float]]:
         """Edges with endpoints in node order, each edge once."""
-        for a in self.nodes:
-            ia = self._order[a]
-            for b, weight in self.adjacency[a].items():
-                if self._order[b] > ia:
-                    yield (a, b, weight)
+        owner = np.repeat(np.arange(len(self.nodes)), np.diff(self.indptr))
+        upper, names = self.indices > owner, np.array(self.nodes, dtype=object)
+        return zip(names[owner[upper]].tolist(), names[self.indices[upper]].tolist(), self.weights[upper].tolist())
 
     def strength(self, node: str) -> float:
-        return sum(self.adjacency[node].values())
+        """Incident weight sum, added in edge order."""
+        i = self._order[node]
+        return sum(self.weights[self.indptr[i] : self.indptr[i + 1]].tolist())
 
     def paths(self) -> "ShortestPaths":
         """The path kernel's result for this graph, computed once."""
@@ -170,7 +185,7 @@ def _brandes_block(
     A frontier holds one BFS level of every source in (source, FIFO order),
     and a source stops once it has reached its whole component, so the last
     level is never expanded. A level's candidates list each frontier node's
-    neighbours in adjacency order; a new node's first sighting among them is
+    neighbours in edge order; a new node's first sighting among them is
     its FIFO position, and that position orders the dependency pass."""
     n = len(indptr) - 1
     size = len(sources) * n
@@ -220,34 +235,31 @@ def _brandes_block(
 
 def build_graph(sim: SimilarityMatrix, edge_threshold: float = 0.0) -> FilmGraph:
     """Thresholded graph: an edge exists where similarity is positive and at
-    least ``edge_threshold``. All films stay as nodes, including isolates."""
+    least ``edge_threshold``. All films stay as nodes, including isolates.
+    Edges come in row-major upper-triangle order."""
     if not 0.0 <= edge_threshold <= 1.0:
         raise DomainError(f"edge_threshold outside [0, 1]: {edge_threshold}")
     films = sim.films
-    edges = []
-    for i, film_i in enumerate(films):
-        for j in range(i + 1, len(films)):
-            weight = float(sim.values[i, j])
-            if weight > 0.0 and weight >= edge_threshold:
-                edges.append((film_i, films[j], weight))
-    return FilmGraph(films, edges)
+    rows, cols = np.triu_indices(len(films), 1)
+    weights = sim.values[rows, cols]
+    keep = (weights > 0.0) & (weights >= edge_threshold)
+    names = np.array(films, dtype=object)
+    return FilmGraph(films, zip(names[rows[keep]].tolist(), names[cols[keep]].tolist(), weights[keep].tolist()))
 
 
 def hop_distances(g: FilmGraph, source: str) -> dict[str, int]:
     """BFS hop counts from source to every reachable node (source included),
-    in BFS dequeue order (neighbours in adjacency order), so distances never
+    in BFS dequeue order (neighbours in edge order), so distances never
     decrease along the dict. The single-source oracle for ``FilmGraph.hops``."""
-    if source not in g:
-        raise KeyError(source)
-    dist = {source: 0}
-    queue = deque([source])
+    dist = {g.index(source): 0}
+    queue = deque(dist)
     while queue:
         node = queue.popleft()
-        for neighbor in g.adjacency[node]:
+        for neighbor in g.indices[g.indptr[node] : g.indptr[node + 1]].tolist():
             if neighbor not in dist:
                 dist[neighbor] = dist[node] + 1
                 queue.append(neighbor)
-    return dist
+    return {g.nodes[node]: hops for node, hops in dist.items()}
 
 
 def degree_centrality(g: FilmGraph, node: str) -> float:

@@ -33,16 +33,19 @@ def build_profiles(view: ViewMatrix, threshold: float = 0.5) -> dict[str, Prefer
     """
     if not 0.0 < threshold < 1.0:
         raise DomainError(f"threshold must be in (0, 1), got {threshold}")
+    # view.films is in ident_sort_key order, so a film's position there is
+    # its id's rank.
+    rank = {film: i for i, film in enumerate(view.films)}
     profiles: dict[str, PreferenceProfile] = {}
     for user in view.users:
         views = view.user_views(user)
         preferred = sorted(
             (film for film, pct in views.items() if pct > threshold),
-            key=lambda film: (-views[film], ident_sort_key(film)),
+            key=lambda film: (-views[film], rank[film]),
         )
         non_preferred = sorted(
             (film for film, pct in views.items() if pct <= threshold),
-            key=lambda film: (views[film], ident_sort_key(film)),
+            key=lambda film: (views[film], rank[film]),
         )
         profiles[user] = PreferenceProfile(user, tuple(preferred), tuple(non_preferred))
     return profiles

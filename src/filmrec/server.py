@@ -33,6 +33,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
 from .artifact import PipelineArtifact
+from .errors import DomainError
 from .pipeline import is_cold_start, recommend
 
 logger = logging.getLogger(__name__)
@@ -185,15 +186,15 @@ def create_server(artifact: PipelineArtifact, host: str, port: int) -> Threading
 
 
 def parse_bind(bind: str) -> tuple[str, int]:
+    """Split ``host:port``: a non-empty host and a decimal port in 0-65535."""
     host, _, port = bind.rpartition(":")
-    if not host or not port:
-        raise ValueError(f"bind address must be host:port, got {bind!r}")
-    return host, int(port)
+    if host and port.isascii() and port.isdigit() and len(port) <= 5 and int(port) <= 65535:
+        return host, int(port)
+    raise DomainError(f"bind address must be host:port with a port in 0-65535, got {bind!r}")
 
 
-def serve(artifact: PipelineArtifact, bind: str) -> None:
+def serve(artifact: PipelineArtifact, host: str, port: int) -> None:
     """Serve until interrupted."""
-    host, port = parse_bind(bind)
     server = create_server(artifact, host, port)
     logger.info("serving on %s:%d", host, port)
     try:

@@ -3,10 +3,11 @@
 These deliberately avoid the library's fast paths: betweenness is checked by
 explicitly enumerating every shortest path per ordered node pair, or bit for
 bit by a Brandes pass with its own BFS, modularity maxima by scoring every
-set partition, and averaged similarity by materializing the full per-user
-dual-similarity tensor before aggregating, or by the scalar films x films x
-users loop, the kNN and Naive Bayes baselines by their dict loops, and
-ingest by the ``csv.DictReader`` parser and the (film, user)-keyed fold.
+set partition, the graph's edge list by the scalar i < j pair loop, and
+averaged similarity by materializing the full per-user dual-similarity
+tensor before aggregating, or by the scalar films x films x users loop, the
+kNN and Naive Bayes baselines by their dict loops, and ingest by the
+``csv.DictReader`` parser and the (film, user)-keyed fold.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from filmrec import (
     FilmGraph,
     FormatError,
     RowError,
+    SimilarityMatrix,
     SyntheticSpec,
     ViewingEvent,
     ViewMatrix,
@@ -47,7 +49,7 @@ def bfs_parents(g: FilmGraph, source: str):
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for w in g.adjacency[v]:
+        for w in g.neighbors(v):
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -103,7 +105,7 @@ def dict_bfs_betweenness(g: FilmGraph) -> dict[str, float]:
         while queue:
             v = queue.popleft()
             stack.append(v)
-            for w in g.adjacency[v]:
+            for w in g.neighbors(v):
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)
@@ -129,7 +131,7 @@ def bfs_pop_order(g: FilmGraph, source: str) -> list[str]:
     while queue:
         v = queue.popleft()
         order.append(v)
-        for w in g.adjacency[v]:
+        for w in g.neighbors(v):
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -187,22 +189,48 @@ def component_graph(rng: random.Random) -> FilmGraph:
     return FilmGraph(nodes, edges)
 
 
-def shuffled_graph(rng: random.Random) -> FilmGraph:
-    """A ``component_graph`` rebuilt from its edge list in shuffled order,
-    each edge's endpoints flipped at random, so adjacency order no longer
-    follows node order."""
-    g = component_graph(rng)
+def shuffled_edges(rng: random.Random, g: FilmGraph) -> list[tuple[str, str, float]]:
+    """The graph's edge list in shuffled order, each edge's endpoints
+    flipped at random."""
     edges = list(g.edges())
     rng.shuffle(edges)
-    return FilmGraph(g.nodes, [(b, a, w) if rng.random() < 0.5 else (a, b, w) for a, b, w in edges])
+    return [(b, a, w) if rng.random() < 0.5 else (a, b, w) for a, b, w in edges]
+
+
+def shuffled_graph(rng: random.Random) -> FilmGraph:
+    """A ``component_graph`` rebuilt from its ``shuffled_edges``, so
+    neighbour order no longer follows node order."""
+    g = component_graph(rng)
+    return FilmGraph(g.nodes, shuffled_edges(rng, g))
+
+
+def pair_loop_edges(sim: SimilarityMatrix, edge_threshold: float) -> list[tuple[str, str, float]]:
+    """The thresholded edges of a similarity matrix by a scalar loop over
+    every i < j pair, as ``build_graph`` listed them before it read the
+    upper triangle as arrays."""
+    films = sim.films
+    edges = []
+    for i, film_i in enumerate(films):
+        for j in range(i + 1, len(films)):
+            weight = float(sim.values[i, j])
+            if weight > 0.0 and weight >= edge_threshold:
+                edges.append((film_i, films[j], weight))
+    return edges
+
+
+@functools.lru_cache(maxsize=None)
+def synthetic_similarity() -> SimilarityMatrix:
+    """The similarity of the default 120-film x 500-user synthetic log
+    (seed 1)."""
+    view = generate_synthetic(SyntheticSpec(film_count=120, user_count=500, seed=1))
+    return average_similarity(view, AveragingPolicy.COMPARABLE_COUNT)
 
 
 @functools.lru_cache(maxsize=None)
 def synthetic_graph(edge_threshold: float) -> FilmGraph:
-    """The graph of the default 120-film x 500-user synthetic log (seed 1):
-    complete at threshold 0.0, 415 edges at 0.35."""
-    view = generate_synthetic(SyntheticSpec(film_count=120, user_count=500, seed=1))
-    return build_graph(average_similarity(view, AveragingPolicy.COMPARABLE_COUNT), edge_threshold)
+    """The graph of ``synthetic_similarity``: complete at threshold 0.0,
+    415 edges at 0.35."""
+    return build_graph(synthetic_similarity(), edge_threshold)
 
 
 def random_view_matrix(rng: random.Random, max_films: int = 10, max_users: int = 10) -> ViewMatrix:

@@ -214,6 +214,12 @@ class TestArtifactSerialization:
         elif corruption == "phantom_profile_film":
             user = next(iter(payload["profiles"]))
             payload["profiles"][user]["non_preferred"].append("phantom")
+        elif corruption == "profile_film_in_both_lists":
+            entry = next(e for e in payload["profiles"].values() if top in e["preferred"])
+            entry["non_preferred"].append(top)
+        elif corruption == "profile_film_twice_in_one_list":
+            entry = next(e for e in payload["profiles"].values() if top in e["preferred"])
+            entry["preferred"].append(top)
 
     @pytest.mark.parametrize(
         "corruption, message",
@@ -224,6 +230,8 @@ class TestArtifactSerialization:
             ("phantom_centrality_film", "centrality"),
             ("missing_centrality_film", "centrality"),
             ("phantom_profile_film", "profile"),
+            ("profile_film_in_both_lists", "names a film twice"),
+            ("profile_film_twice_in_one_list", "names a film twice"),
         ],
     )
     def test_film_set_mismatch_rejected(self, tmp_path, small_artifact, corruption, message):

@@ -283,6 +283,24 @@ def test_info_level_routes_the_server_start_message(events_file, tmp_path):
     assert line.strip() == "INFO filmrec.server: serving on 127.0.0.1:0"
 
 
+BAD_BINDS = ["localhost:abc", "127.0.0.1:99999", ":8080", "localhost:"]
+
+
+@pytest.mark.parametrize("bind", BAD_BINDS)
+def test_bad_bind_flag_is_one_error_line_before_loading(tmp_path, capsys, monkeypatch, bind):
+    # the artifact does not exist, so a check after loading would report that instead
+    monkeypatch.delenv(filmrec.cli.BIND_ENV_VAR, raising=False)
+    assert main(["serve", str(tmp_path / "missing.json"), "--bind", bind]) == 2
+    assert capsys.readouterr().err == f"error: bind address must be host:port with a port in 0-65535, got {bind!r}\n"
+
+
+@pytest.mark.parametrize("bind", BAD_BINDS)
+def test_bad_bind_environment_variable_is_one_error_line_before_loading(tmp_path, capsys, monkeypatch, bind):
+    monkeypatch.setenv(filmrec.cli.BIND_ENV_VAR, bind)
+    assert main(["serve", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err == f"error: bind address must be host:port with a port in 0-65535, got {bind!r}\n"
+
+
 def test_unknown_log_level_is_a_usage_error(capsys):
     assert main(["--log-level", "LOUD", "synth"]) == 1
     assert "--log-level" in capsys.readouterr().err

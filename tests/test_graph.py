@@ -23,9 +23,12 @@ from oracles import (
     brute_force_betweenness,
     component_graph,
     dict_bfs_betweenness,
+    pair_loop_edges,
     random_graph,
+    shuffled_edges,
     shuffled_graph,
     synthetic_graph,
+    synthetic_similarity,
 )
 
 
@@ -77,6 +80,34 @@ class TestBuildGraph:
             FilmGraph(["a", "b"], [("a", "b", 0.0)])
 
 
+class TestGraphStore:
+    def test_neighbors_follow_edge_order_on_shuffled_graphs(self):
+        rng = random.Random(101)
+        for _ in range(10):
+            g = component_graph(rng)
+            edges = shuffled_edges(rng, g)
+            shuffled = FilmGraph(g.nodes, edges)
+            for node in g.nodes:
+                expected = [(b if a == node else a, w) for a, b, w in edges if node in (a, b)]
+                assert list(shuffled.neighbors(node).items()) == expected
+                assert shuffled.strength(node) == sum(w for _, w in expected)
+
+    @pytest.mark.parametrize("repeat", [("a", "b", 0.5), ("b", "a", 0.25)])
+    def test_repeated_pair_is_a_domain_error(self, repeat):
+        with pytest.raises(DomainError, match="repeated edge a-b"):
+            FilmGraph(["a", "b", "c"], [("a", "b", 0.5), ("b", "c", 0.5), repeat])
+
+    @pytest.mark.parametrize("edge_threshold", [0.0, 0.35])
+    def test_build_graph_equals_the_pair_loop(self, edge_threshold):
+        sim = synthetic_similarity()
+        fast = build_graph(sim, edge_threshold)
+        reference = FilmGraph(sim.films, pair_loop_edges(sim, edge_threshold))
+        assert fast.nodes == reference.nodes
+        for name in ("indptr", "indices", "weights"):
+            ours, theirs = getattr(fast, name), getattr(reference, name)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
 class TestDegree:
     def test_star_center_is_maximal(self):
         assert degree_centrality(star(), "c") == 1.0
@@ -106,7 +137,7 @@ class TestDegree:
             missing = [
                 (a, b)
                 for a, b in itertools.combinations(g.nodes, 2)
-                if b not in g.adjacency[a]
+                if b not in g.neighbors(a)
             ]
             if not missing:
                 continue

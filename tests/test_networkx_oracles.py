@@ -47,3 +47,15 @@ def test_louvain_partition_modularity_is_networkx_modularity():
         communities = [set(cluster) for cluster in clustering.clusters()]
         theirs = nx.community.modularity(to_networkx(g), communities, weight="weight")
         assert modularity_score(g, clustering.assignment) == pytest.approx(theirs, abs=1e-12)
+
+
+@pytest.mark.parametrize("edge_threshold", [0.0, 0.35])
+def test_modularity_of_random_partitions_is_networkx_modularity(edge_threshold):
+    g = synthetic_graph(edge_threshold)
+    graph = to_networkx(g)
+    rng = random.Random(107)
+    for clusters in (1, 2, 3, 7, 20, 60, 120):
+        assignment = {node: rng.randrange(clusters) for node in g.nodes}
+        communities = [{node for node in g.nodes if assignment[node] == c} for c in set(assignment.values())]
+        theirs = nx.community.modularity(graph, communities, weight="weight")
+        assert modularity_score(g, assignment) == pytest.approx(theirs, abs=1e-12)

@@ -9,7 +9,15 @@ import urllib.request
 
 import pytest
 
-from filmrec import PipelineArtifact, PipelineConfig, SyntheticSpec, generate_synthetic, recommend, run_pipeline_from_view
+from filmrec import (
+    DomainError,
+    PipelineArtifact,
+    PipelineConfig,
+    SyntheticSpec,
+    generate_synthetic,
+    recommend,
+    run_pipeline_from_view,
+)
 from filmrec.server import MAX_BODY_BYTES, READ_TIMEOUT_SECONDS, ArtifactHandler, create_server, parse_bind
 
 
@@ -186,8 +194,12 @@ def test_concurrent_requests_on_a_cold_memo_match_sequential(tmp_path):
 
 def test_parse_bind():
     assert parse_bind("0.0.0.0:80") == ("0.0.0.0", 80)
-    with pytest.raises(ValueError):
-        parse_bind("8080")
+    assert parse_bind("localhost:0") == ("localhost", 0)
+    assert parse_bind("::1:65535") == ("::1", 65535)
+    bad_binds = ["8080", ":8080", "localhost:", "localhost:abc", "localhost:65536", "127.0.0.1:99999", "localhost: 80"]
+    for bad in bad_binds + ["localhost:-1", "localhost:\u0663", "localhost:" + "9" * 5000]:
+        with pytest.raises(DomainError, match="bind address"):
+            parse_bind(bad)
 
 
 def post(base_url: str, path: str, body: bytes) -> tuple[int, str | None, dict]:
