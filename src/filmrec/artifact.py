@@ -151,11 +151,11 @@ class PipelineArtifact:
     def validate(self) -> None:
         """State checks only: the config passes ``validate_config``; the
         similarity is symmetric, in [0, 1] and has a 0.0/1.0 diagonal; the
-        centrality components are floats in [0, 1]; clustering and
-        centrality cover exactly the film set with dense integer cluster
-        ids; profiles name only known films, each at most once. The graph,
-        the AC column and the modularity are derived from the state, so they
-        are not rebuilt."""
+        films are distinct; the centrality components are floats in [0, 1];
+        clustering and centrality cover exactly the film set with dense
+        integer cluster ids; profiles name only known films, each at most
+        once. The graph, the AC column and the modularity are derived from
+        the state, so they are not rebuilt."""
         components = {film: (r.degree_c, r.closeness_c, r.betweenness_c) for film, r in self.centrality.rows.items()}
         _check_state(self.config, self.similarity, components, self.clustering.assignment, self.profiles)
 
@@ -180,6 +180,10 @@ def _check_state(
         raise DataError("artifact similarity is not symmetric")
     if not np.isin(values.diagonal(), (0.0, 1.0)).all():
         raise DataError("artifact similarity diagonal holds a value other than 0.0 or 1.0")
+    positions = {film: i for i, film in enumerate(similarity.films)}
+    repeated = [film for i, film in enumerate(similarity.films) if positions[film] != i]
+    if repeated:
+        raise DataError(f"artifact films name {repeated[0]} twice")
     films = set(similarity.films)
     if set(assignment) != films:
         raise DataError("artifact clustering does not cover exactly the film set")

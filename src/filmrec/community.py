@@ -7,7 +7,8 @@ Modularity of a partition is
 where e_rr is the fraction of total edge weight inside cluster r and a_r is
 the fraction of weighted degree attached to cluster r. One level formula
 computes it, for ``modularity_score`` on the graph's first level (read off
-its CSR arrays) and for every ``louvain`` level. The optimizer is the
+its CSR arrays), for every ``louvain`` level, and for the final partition on
+the first level ``louvain`` built at its start. The optimizer is the
 classic two-phase scheme: sweep nodes, greedily moving each to the
 neighboring cluster with the largest strictly positive modularity gain, then
 collapse clusters into super-nodes (keeping intra-cluster weight as
@@ -107,13 +108,14 @@ def louvain(
     n = g.node_count()
     if n == 0:
         raise DomainError("empty graph")
-    adj, total_weight = _first_level(g)
+    first_level, total_weight = _first_level(g)
     if total_weight == 0.0:
         assignment = {node: i for i, node in enumerate(g.nodes)}
         return Clustering(assignment, 0.0)
 
     # Level graph state: nodes 0..m-1, ``adj`` without self-edges, separate
     # self-loop weights, and the original node indices each level node holds.
+    adj = first_level
     loop: list[float] = [0.0] * n
     members: list[list[int]] = [[i] for i in range(n)]
 
@@ -226,7 +228,8 @@ def louvain(
     for cluster_id, c in enumerate(cluster_order):
         for original in members[c]:
             assignment[g.nodes[original]] = cluster_id
-    return Clustering(assignment, modularity_score(g, assignment))
+    comm = [assignment[node] for node in g.nodes]
+    return Clustering(assignment, _level_modularity(first_level, [0.0] * n, comm, total_weight))
 
 
 def write_clusters_csv(clustering: Clustering, stream: TextIO) -> None:

@@ -19,7 +19,7 @@ import csv
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Protocol, TextIO
 
 import numpy as np
@@ -29,7 +29,7 @@ from .config import PipelineConfig, validate_config
 from .errors import DomainError
 from .graph import CentralityTable, FilmGraph, build_graph
 from .ingest import ViewMatrix, ViewingEvent, ident_sort_key
-from .ranking import score_candidate
+from .ranking import row_sums, score_candidates
 from .similarity import average_similarity
 
 logger = logging.getLogger(__name__)
@@ -134,26 +134,11 @@ class EvalReport:
     def to_json_dict(self) -> dict:
         return {
             "method": self.method,
-            "split": None
-            if self.split is None
-            else {
-                "sample_size": self.split.sample_size,
-                "train_fraction": self.split.train_fraction,
-                "seed": self.split.seed,
-            },
+            "split": None if self.split is None else asdict(self.split),
             "accuracy": self.accuracy,
             "judgment_histogram": {str(k): v for k, v in self.histogram().items()},
             "skipped_users": list(self.skipped_users),
-            "judgments": [
-                {
-                    "user_id": j.user_id,
-                    "film_id": j.film_id,
-                    "label": j.label,
-                    "rs_value": j.rs_value,
-                    "score": j.score,
-                }
-                for j in self.judgments
-            ],
+            "judgments": [asdict(judgment) for judgment in self.judgments],
         }
 
 
@@ -184,12 +169,10 @@ def evaluate_method(
             logger.warning("skipping test user %s: fewer than 4 watched films", user)
             skipped.append(user)
             continue
-        for film in case.held_preferred:
-            rs = policy.score_film(case, film)
-            judgments.append(CaseJudgment(user, film, PREFERRED, rs, judge(rs, PREFERRED)))
-        for film in case.held_non_preferred:
-            rs = policy.score_film(case, film)
-            judgments.append(CaseJudgment(user, film, NON_PREFERRED, rs, judge(rs, NON_PREFERRED)))
+        for label, films in ((PREFERRED, case.held_preferred), (NON_PREFERRED, case.held_non_preferred)):
+            for film in films:
+                rs = policy.score_film(case, film)
+                judgments.append(CaseJudgment(user, film, label, rs, judge(rs, label)))
     correct = sum(1 for j in judgments if j.score == 1)
     accuracy = correct / len(judgments) if judgments else 0.0
     return EvalReport(policy.name, split, tuple(judgments), tuple(skipped), accuracy)
@@ -199,12 +182,36 @@ def evaluate_method(
 # Policies
 
 
-class EgoGraphPolicy:
+class CaseBatchPolicy:
+    """A policy that scores a case's films in batches. A subclass fits in
+    ``_fit(train)`` and scores a list of a case's films in
+    ``_score_films(case, films)``. The first score asked for a case scores
+    all four of its held-out films with one ``_score_films`` call and keeps
+    them; a film outside those four gets a call of its own. ``fit`` drops
+    the kept scores."""
+
+    name: str
+    _case: EvalCase | None = None
+
+    def fit(self, train: ViewMatrix) -> None:
+        self._case, self._scores = None, {}
+        self._fit(train)
+
+    def score_film(self, case: EvalCase, film: str) -> float:
+        if case is not self._case:
+            held = [*case.held_preferred, *case.held_non_preferred]
+            self._case, self._scores = case, dict(zip(held, self._score_films(case, held)))
+        if film not in self._scores:
+            self._scores[film] = self._score_films(case, [film])[0]
+        return self._scores[film]
+
+
+class EgoGraphPolicy(CaseBatchPolicy):
     """The full similarity-graph pipeline: fit builds the similarity matrix,
-    thresholded graph, centrality table, and clustering from training users;
-    scoring runs the ego-centric recommendation score over the test user's
-    context films labeled by the preference threshold, through the same
-    ``score_candidate`` that serving uses, with egos in film-id order.
+    thresholded graph, centrality table, and clustering from training users.
+    Scoring splits a case's context films by the preference threshold, each
+    side in film-id order, and scores the case's films with one call of the
+    ``score_candidates`` that serving uses.
 
     The keyword arguments are ``PipelineConfig`` fields; fit reads the
     averaging policy and edge threshold, scoring the preference threshold.
@@ -219,18 +226,19 @@ class EgoGraphPolicy:
         self.similarity = None
         self.clustering = None
 
-    def fit(self, train: ViewMatrix) -> None:
+    def _fit(self, train: ViewMatrix) -> None:
         self.similarity = average_similarity(train, self.config.averaging_policy)
         self.graph = build_graph(self.similarity, self.config.edge_threshold)
         self.centrality = CentralityTable.compute(self.graph)
         self.clustering = louvain(self.graph)
 
-    def score_film(self, case: EvalCase, film: str) -> float:
+    def _score_films(self, case: EvalCase, films: list[str]) -> list[float]:
         assert self.graph is not None and self.centrality is not None, "fit() first"
         threshold = self.config.preference_threshold
-        prefs = sorted((f for f, pct in case.context.items() if pct > threshold), key=ident_sort_key)
-        nonprefs = sorted((f for f, pct in case.context.items() if pct <= threshold), key=ident_sort_key)
-        return score_candidate(self.graph, self.centrality, film, prefs, nonprefs)
+        context = sorted(case.context, key=ident_sort_key)
+        prefs = [film for film in context if case.context[film] > threshold]
+        nonprefs = [film for film in context if case.context[film] <= threshold]
+        return score_candidates(self.graph, self.centrality, films, prefs, nonprefs)
 
 
 class RandomScorePolicy:
@@ -280,7 +288,7 @@ class TrainingArrays:
         self.watched[rows, self.order] = 1
         self.watched[:, self.absent] = 0
         self.liked = self.watched * (self.pct > 0.5)
-        self.norms = np.sqrt(_row_sums(self.values * self.values))
+        self.norms = np.sqrt(row_sums(self.values * self.values))
 
     def columns(self, films: Iterable[str]) -> list[int]:
         return [self.film_index.get(film, self.absent) for film in films]
@@ -291,21 +299,16 @@ class TrainingArrays:
         in its insertion order: both orders are summed, one is kept."""
         cols = self.columns(context)
         vals = np.array([*context.values(), 0.0])
-        by_context = _row_sums(self.pct[:, [*cols, self.absent]] * vals)
+        by_context = row_sums(self.pct[:, [*cols, self.absent]] * vals)
         dense = np.zeros(self.absent + 1)
         dense[cols] = vals[:-1]
         dense[self.absent] = 0.0  # the training users' padding
-        by_train = _row_sums(self.values * dense[self.order])
+        by_train = row_sums(self.values * dense[self.order])
         dot = np.where(self.lengths < len(context), by_train, by_context)
-        norm = np.sqrt(_row_sums(vals * vals))
+        norm = np.sqrt(row_sums(vals * vals))
         with np.errstate(divide="ignore", invalid="ignore"):
             cosine = dot / (norm * self.norms)
         return np.where((dot == 0.0) | (norm == 0.0) | (self.norms == 0.0), 0.0, cosine)
-
-
-def _row_sums(products: np.ndarray) -> np.ndarray:
-    """Sum along the last axis strictly left to right, as ``sum`` does."""
-    return np.cumsum(products, axis=-1)[..., -1]
 
 
 def knn_predict(
@@ -374,12 +377,10 @@ def naive_bayes_predict(
     return predictions
 
 
-class BaselinePolicy:
+class BaselinePolicy(CaseBatchPolicy):
     """A baseline's preferred / non-preferred prediction as a scoring policy
-    (+1/-1). ``fit`` builds the training arrays once. The first score asked
-    for a case predicts all four of its held-out films with one call; ``fit``
-    drops the kept predictions. A film outside those four gets a call of
-    its own."""
+    (+1/-1). ``fit`` builds the training arrays once, and a case's four
+    held-out films are predicted with one call."""
 
     def __init__(
         self, name: str, predict: Callable[[TrainingArrays, Mapping[str, float], list[str]], dict[str, bool]]
@@ -387,23 +388,14 @@ class BaselinePolicy:
         self.name = name
         self._predict = predict
         self._arrays: TrainingArrays | None = None
-        self._case: EvalCase | None = None
-        self._predictions: dict[str, bool] = {}
 
-    def fit(self, train: ViewMatrix) -> None:
+    def _fit(self, train: ViewMatrix) -> None:
         self._arrays = TrainingArrays(train)
-        self._case = None
-        self._predictions = {}
 
-    def score_film(self, case: EvalCase, film: str) -> float:
+    def _score_films(self, case: EvalCase, films: list[str]) -> list[float]:
         assert self._arrays is not None, "fit() first"
-        if case is not self._case:
-            self._case = case
-            held = [*case.held_preferred, *case.held_non_preferred]
-            self._predictions = self._predict(self._arrays, case.context, held)
-        if film not in self._predictions:
-            self._predictions[film] = self._predict(self._arrays, case.context, [film])[film]
-        return 1.0 if self._predictions[film] else -1.0
+        predictions = self._predict(self._arrays, case.context, films)
+        return [1.0 if predictions[film] else -1.0 for film in films]
 
 
 def KnnPolicy(k: int = 5) -> BaselinePolicy:  # noqa: N802 (a policy constructor)

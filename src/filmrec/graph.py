@@ -14,7 +14,8 @@ graph (``FilmGraph.paths``): a level-synchronous BFS from every source at
 once over those arrays (Kepner & Gilbert 2011) that yields the
 ``int32[n, n]`` hop matrix and Brandes' (2001) dependency sums. It adds in
 the order a per-source dict Brandes adds, so its floats are bit-identical
-to that loop. ``hop_distances`` stays as the single-source BFS oracle.
+to that loop. Ranking slices the hop matrix for a whole candidate list at
+once. ``hop_distances`` stays as the single-source BFS oracle.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ class FilmGraph:
         self.nodes = tuple(nodes)
         self._order = order = {node: i for i, node in enumerate(self.nodes)}
         n = len(self.nodes)
+        if len(order) < n:
+            # order holds each id's last position, so the first node off it is repeated
+            repeated = next(node for i, node in enumerate(self.nodes) if order[node] != i)
+            raise DomainError(f"repeated node {repeated}")
         ends, weights = [], []
         for head, tail, weight in edges:
             ends += order[head], order[tail]
@@ -108,24 +113,18 @@ class FilmGraph:
             paths = self._paths = all_sources_paths(self.indptr, self.indices)
         return paths
 
-    def hops(self, source: str) -> list[int]:
-        """Hop counts from source to every node, in node order, -1 where
-        unreachable; callers share the list and must not change it."""
-        return self.paths().hop_rows[self._order[source]]
-
 
 @dataclass(frozen=True)
 class ShortestPaths:
     """Unweighted shortest paths between every ordered pair of nodes.
 
-    ``hops[s, t]`` is the hop count from s to t (-1 if unreachable) and
-    ``hop_rows`` the same as lists, for scalar reads. ``reach[s]`` counts the
-    nodes s reaches, itself included, and ``hop_sums[s]`` adds their hop
-    counts. ``dependency[v]`` is Brandes' unscaled betweenness: v's
-    dependency summed over every source but v itself."""
+    ``hops[s, t]`` is the hop count from s to t (-1 if unreachable).
+    ``reach[s]`` counts the nodes s reaches, itself included, and
+    ``hop_sums[s]`` adds their hop counts. ``dependency[v]`` is Brandes'
+    unscaled betweenness: v's dependency summed over every source but v
+    itself."""
 
     hops: np.ndarray
-    hop_rows: list[list[int]]
     reach: list[int]
     hop_sums: list[int]
     dependency: np.ndarray
@@ -157,7 +156,7 @@ def all_sources_paths(indptr: np.ndarray, indices: np.ndarray) -> ShortestPaths:
         hop_sums += hop_sum.tolist()
         for row in delta:
             dependency += row
-    return ShortestPaths(hops, hops.tolist(), reach, hop_sums, dependency)
+    return ShortestPaths(hops, reach, hop_sums, dependency)
 
 
 def _component_sizes(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -250,7 +249,8 @@ def build_graph(sim: SimilarityMatrix, edge_threshold: float = 0.0) -> FilmGraph
 def hop_distances(g: FilmGraph, source: str) -> dict[str, int]:
     """BFS hop counts from source to every reachable node (source included),
     in BFS dequeue order (neighbours in edge order), so distances never
-    decrease along the dict. The single-source oracle for ``FilmGraph.hops``."""
+    decrease along the dict. The single-source oracle for the path kernel's
+    hop matrix."""
     dist = {g.index(source): 0}
     queue = deque(dist)
     while queue:

@@ -10,18 +10,20 @@ Distance conventions: a film is at distance 1 from itself (a film appearing
 in its own evidence list contributes its full centrality), and an
 unreachable ego contributes nothing.
 
-``score_candidate`` is the one scorer, for serving and offline evaluation
-alike. It reads hops from rows of the graph's hop matrix (``FilmGraph.hops``),
-which one all-sources path kernel computes once per graph, so no request
-runs a BFS. ``ego_centrality`` keeps its own BFS as the independent
-single-ego reference.
+``score_candidates`` is the one scorer, for serving and offline evaluation
+alike. It scores a whole candidate list from one slice of the graph's hop
+matrix (``FilmGraph.paths().hops``), which one all-sources path kernel
+computes once per graph, so no request runs a BFS. ``ego_centrality`` keeps
+its own BFS as the independent single-ego reference.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Iterable, TextIO
+from typing import Iterable, Sequence, TextIO
+
+import numpy as np
 
 from .community import Clustering
 from .errors import DomainError
@@ -70,22 +72,32 @@ def recommendation_score(prefs: Iterable[float], nonprefs: Iterable[float]) -> f
     return sum(prefs) - sum(nonprefs)
 
 
-def score_candidate(
-    g: FilmGraph, ac: CentralityTable, film: str, preferred: Iterable[str], non_preferred: Iterable[str]
-) -> float:
-    """The film's recommendation score against the given egos, summed in the
-    order given; egos outside the graph are skipped."""
-    value = ac.ac(film)
-    target = g.index(film)
+def score_candidates(
+    g: FilmGraph, ac: CentralityTable, films: Sequence[str], preferred: Iterable[str], non_preferred: Iterable[str]
+) -> list[float]:
+    """Each film's recommendation score against the given egos, in film order,
+    from one slice of the hop matrix; egos outside the graph are skipped.
+    Each side adds its egos' terms left to right in the order given, so a
+    score equals ``recommendation_score`` of the per-ego values bit for bit.
+    With no ego in the graph every score is the int 0, as
+    ``sum([]) - sum([])`` is."""
+    prefs = [g.index(ego) for ego in preferred if ego in g]
+    nonprefs = [g.index(ego) for ego in non_preferred if ego in g]
+    if not prefs and not nonprefs:
+        return [0] * len(films)
+    hops = g.paths().hops[np.ix_([*prefs, *nonprefs], [g.index(film) for film in films])].T
+    values = np.array([ac.ac(film) for film in films])[:, None]
+    terms = np.where(hops < 0, 0.0, values / np.maximum(hops, 1))
+    # A side without egos adds up to 0.0. On the other side, sum's leading 0
+    # would change nothing, as every term is >= +0.0.
+    sides = np.hsplit(terms, [len(prefs)])
+    pref_sums, nonpref_sums = (row_sums(side) if side.shape[1] else 0.0 for side in sides)
+    return (pref_sums - nonpref_sums).tolist()
 
-    def toward(ego: str) -> float:
-        hops = g.hops(ego)[target]
-        return 0.0 if hops < 0 else value / max(hops, 1)
 
-    return recommendation_score(
-        [toward(ego) for ego in preferred if ego in g],
-        [toward(ego) for ego in non_preferred if ego in g],
-    )
+def row_sums(products: np.ndarray) -> np.ndarray:
+    """Sum along the last axis strictly left to right, as ``sum`` does."""
+    return np.cumsum(products, axis=-1)[..., -1]
 
 
 def candidate_set(
@@ -119,12 +131,9 @@ def rank_for_user(
     exclude_non_preferred: bool = False,
 ) -> RecommendationList:
     """Score every candidate against the user's full judged history."""
-    candidates = candidate_set(clustering, profile, exclude_non_preferred=exclude_non_preferred)
-    scored = [
-        (film, score_candidate(g, ac, film, profile.preferred, profile.non_preferred))
-        for film in candidates
-    ]
-    scored.sort(key=lambda pair: (-pair[1], ident_sort_key(pair[0])))
+    candidates = list(candidate_set(clustering, profile, exclude_non_preferred=exclude_non_preferred))
+    scores = score_candidates(g, ac, candidates, profile.preferred, profile.non_preferred)
+    scored = sorted(zip(candidates, scores), key=lambda pair: (-pair[1], ident_sort_key(pair[0])))
     return RecommendationList(profile.user_id, tuple(scored))
 
 

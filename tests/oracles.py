@@ -6,7 +6,8 @@ bit by a Brandes pass with its own BFS, modularity maxima by scoring every
 set partition, the graph's edge list by the scalar i < j pair loop, and
 averaged similarity by materializing the full per-user dual-similarity
 tensor before aggregating, or by the scalar films x films x users loop, the
-kNN and Naive Bayes baselines by their dict loops, and ingest by the
+kNN and Naive Bayes baselines by their dict loops, ego scores by the
+per-pair loop over one single-source BFS per ego, and ingest by the
 ``csv.DictReader`` parser and the (film, user)-keyed fold.
 """
 
@@ -23,6 +24,7 @@ from typing import Iterable, Mapping, TextIO
 import numpy as np
 
 from filmrec import (
+    CentralityTable,
     DataError,
     DomainError,
     FilmGraph,
@@ -35,6 +37,7 @@ from filmrec import (
     average_similarity,
     build_graph,
     generate_synthetic,
+    hop_distances,
     modularity_score,
 )
 from filmrec.ingest import CSV_COLUMNS, ident_sort_key
@@ -136,6 +139,21 @@ def bfs_pop_order(g: FilmGraph, source: str) -> list[str]:
                 seen.add(w)
                 queue.append(w)
     return order
+
+
+def per_pair_ego_scores(
+    g: FilmGraph, ac: CentralityTable, films: list[str], preferred: list[str], non_preferred: list[str]
+) -> list[float]:
+    """Each film's ego score by the per-pair loop: one BFS per ego in the
+    graph, the film's AC over max(hops, 1) per (ego, film) pair, 0.0 where
+    unreachable, and ``sum`` per side."""
+    pref_hops = [hop_distances(g, ego) for ego in preferred if ego in g]
+    nonpref_hops = [hop_distances(g, ego) for ego in non_preferred if ego in g]
+
+    def toward(side: list[dict[str, int]], film: str) -> list[float]:
+        return [ac.ac(film) / max(hops[film], 1) if film in hops else 0.0 for hops in side]
+
+    return [sum(toward(pref_hops, film)) - sum(toward(nonpref_hops, film)) for film in films]
 
 
 def set_partitions(items: list):

@@ -220,6 +220,9 @@ class TestArtifactSerialization:
         elif corruption == "profile_film_twice_in_one_list":
             entry = next(e for e in payload["profiles"].values() if top in e["preferred"])
             entry["preferred"].append(top)
+        elif corruption == "repeated_film":
+            # film "1" named again in place of film "12": the similarity shape still matches
+            payload["films"][-1] = payload["films"][0]
 
     @pytest.mark.parametrize(
         "corruption, message",
@@ -232,6 +235,7 @@ class TestArtifactSerialization:
             ("phantom_profile_film", "profile"),
             ("profile_film_in_both_lists", "names a film twice"),
             ("profile_film_twice_in_one_list", "names a film twice"),
+            ("repeated_film", "artifact films name 1 twice"),
         ],
     )
     def test_film_set_mismatch_rejected(self, tmp_path, small_artifact, corruption, message):

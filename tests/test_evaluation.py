@@ -30,8 +30,9 @@ from filmrec.evaluation import (
     naive_bayes_predict,
     view_to_events,
 )
+from filmrec.ingest import ident_sort_key
 
-from oracles import monte_carlo_random_judge_accuracy
+from oracles import monte_carlo_random_judge_accuracy, per_pair_ego_scores
 
 
 def synthetic_view(**overrides) -> ViewMatrix:
@@ -220,6 +221,39 @@ class TestEvaluateMethod:
         proposed = evaluate_method(EgoGraphPolicy(), train, test)
         rand = evaluate_method(RandomScorePolicy(0), train, test)
         assert proposed.accuracy > rand.accuracy
+
+    def test_ego_policy_scores_once_per_eligible_test_user(self, monkeypatch):
+        calls = []
+        scorer = filmrec.evaluation.score_candidates
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return scorer(*args, **kwargs)
+
+        monkeypatch.setattr(filmrec.evaluation, "score_candidates", counted)
+        train, test = split_users(synthetic_view(), 40, 0.7, 0)
+        report = evaluate_method(EgoGraphPolicy(), train, test)
+        eligible = len(test.users) - len(report.skipped_users)
+        assert eligible > 0 and len(calls) == eligible
+        assert all(len(films) == 4 for films in calls)
+
+    def test_ego_policy_scores_equal_the_per_pair_loop_per_film(self):
+        train, test = split_users(synthetic_view(), 40, 0.7, 1)
+        policy = EgoGraphPolicy()
+        policy.fit(train)
+        cases = [make_eval_case(user, test.user_views(user)) for user in test.users]
+        # a user with exactly four watched films has an empty context
+        cases.append(make_eval_case("thin", dict(zip(train.films[:4], (0.9, 0.8, 0.2, 0.1)))))
+        for case in filter(None, cases):
+            context = sorted(case.context, key=ident_sort_key)
+            prefs = [film for film in context if case.context[film] > 0.5]
+            nonprefs = [film for film in context if case.context[film] <= 0.5]
+            # context films are outside the four held out
+            for film in [*case.held_preferred, *case.held_non_preferred, *case.context]:
+                (expected,) = per_pair_ego_scores(policy.graph, policy.centrality, [film], prefs, nonprefs)
+                score = policy.score_film(case, film)
+                assert type(score) is type(expected) and float(score).hex() == float(expected).hex()
+        assert policy.score_film(cases[-1], cases[-1].held_preferred[0]) == 0
 
     @pytest.mark.parametrize("key, value", [("preference_threshold", 1.5), ("edge_threshold", -0.1)])
     def test_ego_policy_rejects_an_out_of_range_config_when_constructed(self, key, value):

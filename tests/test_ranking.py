@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 
@@ -13,6 +14,8 @@ from filmrec import (
     PreferenceProfile,
     RecommendationList,
     SyntheticSpec,
+    average_similarity,
+    build_graph,
     candidate_set,
     ego_centrality,
     evaluate_method,
@@ -24,9 +27,10 @@ from filmrec import (
     run_pipeline_from_view,
     split_users,
 )
-from filmrec.ranking import UNREACHABLE
+from filmrec.ranking import UNREACHABLE, score_candidates
+from filmrec.similarity import AveragingPolicy
 
-from oracles import random_graph
+from oracles import per_pair_ego_scores, random_graph, synthetic_similarity
 
 
 def table_of(ac_values: dict[str, float]) -> CentralityTable:
@@ -306,6 +310,43 @@ class TestScoreOracle:
                 seen["far"] += any(s.distance is not None and s.distance > 1 for s in prefs + nonprefs)
                 seen["non_preferred"] += film in profile.non_preferred
         assert seen["unreachable"] and seen["far"] and seen["non_preferred"]
+
+
+@functools.lru_cache(maxsize=None)
+def synthetic_scoring(film_count: int, edge_threshold: float) -> tuple[FilmGraph, CentralityTable]:
+    """A synthetic graph and its centrality table: the 120-film x 500-user
+    log of ``synthetic_similarity``, or 400 films x 100 users."""
+    if film_count == 120:
+        sim = synthetic_similarity()
+    else:
+        view = generate_synthetic(SyntheticSpec(film_count=film_count, user_count=100, seed=13))
+        sim = average_similarity(view, AveragingPolicy.COMPARABLE_COUNT)
+    g = build_graph(sim, edge_threshold)
+    return g, CentralityTable.compute(g)
+
+
+class TestScoreCandidatesOracle:
+    @pytest.mark.parametrize("edge_threshold", [0.0, 0.35])
+    @pytest.mark.parametrize("film_count", [120, 400])
+    def test_every_film_equals_the_per_pair_loop_bit_for_bit(self, film_count, edge_threshold):
+        g, table = synthetic_scoring(film_count, edge_threshold)
+        egos = random.Random(film_count).sample(g.nodes, 8)
+        films = list(g.nodes)
+        hops = g.paths().hops[[g.index(ego) for ego in egos]]
+        if edge_threshold:
+            assert (hops < 0).any() and (hops > 1).any()
+        for preferred, non_preferred in [(egos[:3], [*egos[3:], "outside"]), (egos[:3], []), ([], egos[3:])]:
+            ours = score_candidates(g, table, films, preferred, non_preferred)
+            theirs = per_pair_ego_scores(g, table, films, preferred, non_preferred)
+            assert [value.hex() for value in ours] == [value.hex() for value in theirs]
+
+    def test_no_ego_in_the_graph_scores_the_int_zero(self):
+        g, table = synthetic_scoring(120, 0.35)
+        films = list(g.nodes[:5])
+        for preferred, non_preferred in [([], []), (["outside"], ["elsewhere"])]:
+            ours = score_candidates(g, table, films, preferred, non_preferred)
+            assert ours == per_pair_ego_scores(g, table, films, preferred, non_preferred) == [0] * 5
+            assert {type(value) for value in ours} == {int}
 
 
 def test_one_kernel_pass_per_graph(traversals):
