@@ -262,7 +262,8 @@ class TrainingArrays:
 
     ``film_index`` maps a film to its column; one extra all-zero column
     stands for every film the matrix lacks. Rows follow ``train.users``.
-    ``pct``, ``watched`` and ``liked`` (pct > 0.5) are dense; ``order`` and
+    ``pct``, ``watched`` and ``liked`` (pct > 0.5) are dense, the first two
+    copied from the matrix's cached ``dense`` arrays; ``order`` and
     ``values`` hold each user's films and percentages in that user's own
     dict order, padded with the zero column, so a row sum can add in the
     order the dict loops add.
@@ -281,12 +282,12 @@ class TrainingArrays:
         for row, views in enumerate(self.views):
             self.order[row, : len(views)] = [self.film_index[film] for film in views]
             self.values[row, : len(views)] = list(views.values())
-        rows = np.arange(len(self.views))[:, None]
+        dense = train.dense
         self.pct = np.zeros((len(self.views), self.absent + 1))
-        self.pct[rows, self.order] = self.values
+        self.pct[:, : self.absent] = dense.pct
+        # int32, not bool: Naive Bayes counts with integer products
         self.watched = np.zeros(self.pct.shape, dtype=np.int32)
-        self.watched[rows, self.order] = 1
-        self.watched[:, self.absent] = 0
+        self.watched[:, : self.absent] = dense.watched
         self.liked = self.watched * (self.pct > 0.5)
         self.norms = np.sqrt(row_sums(self.values * self.values))
 

@@ -7,6 +7,8 @@ the similarity layer treats the two cases differently. It keeps one store,
 keyed by user: each user's ``{film: pct}`` dict, with one string object per
 film id. A film's column (``film_views``) is gathered from the users on each
 call, at O(users) cost; a user restriction shares the kept users' dicts.
+Array kernels read ``dense``: the same data as two read-only users x films
+arrays, built from the dicts on first use and kept with the matrix.
 
 Rows are checked once, by ``_valid_rows`` over ``csv.reader`` (with
 ``csv.DictReader``'s header, blank-row and short-row rules), and folded
@@ -22,7 +24,11 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, TextIO
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
+
+import numpy as np
 
 from .errors import DataError, FormatError, RowError
 
@@ -126,6 +132,13 @@ def parse_events(stream: Iterable[str] | TextIO, *, skip_bad_rows: bool = False)
     return [ViewingEvent(*row) for row in _valid_rows(stream, skip_bad_rows)]
 
 
+class DenseViews(NamedTuple):
+    """A view matrix as arrays; rows follow its users, columns its films."""
+
+    pct: np.ndarray  # float64; 0.0 where unwatched, a stored -0.0 keeps its sign
+    watched: np.ndarray  # bool
+
+
 class ViewMatrix:
     """Sparse (film, user) -> viewing percentage map, stored once per user,
     with deterministic film/user orderings. Immutable after construction."""
@@ -177,6 +190,23 @@ class ViewMatrix:
 
     def user_views(self, user: str) -> Mapping[str, float]:
         return self._by_user.get(user, {})
+
+    @cached_property
+    def dense(self) -> DenseViews:
+        """The matrix as read-only ``pct`` and ``watched`` arrays, built once
+        per matrix with one ``np.fromiter`` pass over the per-user dicts."""
+        index = {film: i for i, film in enumerate(self._films)}
+        views = [self._by_user.get(user, {}) for user in self._users]
+        lengths = [len(v) for v in views]
+        count = sum(lengths)
+        cols = np.fromiter(map(index.__getitem__, chain.from_iterable(views)), np.intp, count)
+        cells = np.repeat(np.arange(len(views)) * len(index), lengths) + cols
+        pct = np.zeros((len(views), len(index)))
+        np.put(pct, cells, np.fromiter(chain.from_iterable(v.values() for v in views), np.float64, count))
+        watched = np.zeros(pct.shape, dtype=bool)
+        np.put(watched, cells, True)
+        pct.flags.writeable = watched.flags.writeable = False
+        return DenseViews(pct, watched)
 
     def entry_count(self) -> int:
         return sum(len(v) for v in self._by_user.values())

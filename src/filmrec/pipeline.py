@@ -44,9 +44,9 @@ def run_pipeline_from_view(view: ViewMatrix, config: PipelineConfig) -> Pipeline
         similarity = average_similarity(view, config.averaging_policy)
     with _stage("graph"):
         graph = build_graph(similarity, config.edge_threshold)
-    _warn_if_degenerate(graph, config.edge_threshold)
     with _stage("centrality"):
         centrality = CentralityTable.compute(graph)
+    _warn_if_degenerate(graph, centrality, config.edge_threshold)
     with _stage("cluster"):
         clustering = louvain(graph)
     with _stage("profiles"):
@@ -54,12 +54,30 @@ def run_pipeline_from_view(view: ViewMatrix, config: PipelineConfig) -> Pipeline
     return PipelineArtifact.build(config, similarity, graph, centrality, clustering, profiles)
 
 
-def _warn_if_degenerate(graph: FilmGraph, edge_threshold: float) -> None:
+def _warn_if_degenerate(graph: FilmGraph, centrality: CentralityTable, edge_threshold: float) -> None:
     """In a complete or an edgeless graph every film has the same degree,
-    closeness and betweenness, so centrality cannot tell films apart."""
+    closeness and betweenness, so centrality cannot tell films apart; in
+    any other graph one of the three can still be the same for every film."""
     nodes = graph.node_count()
     edges = graph.edge_count()
-    if nodes < 2 or 0 < edges < nodes * (nodes - 1) // 2:
+    if nodes < 2:
+        return
+    if 0 < edges < nodes * (nodes - 1) // 2:
+        rows = centrality.rows.values()
+        constant = [
+            name
+            for name, values in (
+                ("degree", {row.degree_c for row in rows}),
+                ("closeness", {row.closeness_c for row in rows}),
+                ("betweenness", {row.betweenness_c for row in rows}),
+            )
+            if len(values) == 1
+        ]
+        if constant:
+            logger.warning(
+                "centrality is constant over all %d films at edge_threshold %s: %s",
+                nodes, edge_threshold, ", ".join(constant),
+            )
         return
     shape = "edgeless" if edges == 0 else "complete"
     logger.warning("similarity graph is %s: %d edges at edge_threshold %s", shape, edges, edge_threshold)

@@ -147,6 +147,8 @@ class ArtifactHandler(BaseHTTPRequestHandler):
             "format_version": self.artifact.format_version,
             "films": len(self.artifact.similarity.films),
             "users": len(self.artifact.profiles),
+            "created_at": self.artifact.created_at,
+            "config": self.artifact.config.to_dict(),
         }
 
     def _recommendations(self, user_id: str, k: int) -> dict:

@@ -12,6 +12,7 @@ from filmrec import (
     PipelineConfig,
     StageError,
     SyntheticSpec,
+    ViewMatrix,
     generate_synthetic,
     is_cold_start,
     recommend,
@@ -143,6 +144,33 @@ class TestRunLog:
         if message is None:
             assert 0 < artifact.graph.edge_count() < 66
         assert [r.getMessage() for r in caplog.records] == ([message] if message else [])
+
+    @staticmethod
+    def film_blocks(*sizes: int) -> ViewMatrix:
+        """Disjoint blocks of films, each watched at 0.8 by its own two
+        users: every block is a clique of weight-1 edges, and no edge joins
+        two blocks."""
+        entries, films = {}, iter(range(1, sum(sizes) + 1))
+        for block, size in enumerate(sizes):
+            for film in [str(next(films)) for _ in range(size)]:
+                for user in (f"a{block}", f"b{block}"):
+                    entries[(film, user)] = 0.8
+        return ViewMatrix(entries)
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ((3, 3), "centrality is constant over all 6 films at edge_threshold 0.5: degree, closeness, betweenness"),
+            ((3, 2), "centrality is constant over all 5 films at edge_threshold 0.5: betweenness"),
+        ],
+    )
+    def test_constant_centrality_component_is_warned_about(self, caplog, sizes, message):
+        view = self.film_blocks(*sizes)
+        with caplog.at_level(logging.WARNING, logger="filmrec.pipeline"):
+            artifact = run_pipeline_from_view(view, PipelineConfig(edge_threshold=0.5))
+        nodes = artifact.graph.node_count()
+        assert 0 < artifact.graph.edge_count() < nodes * (nodes - 1) // 2
+        assert [r.getMessage() for r in caplog.records] == [message]
 
 
 class TestArtifactSerialization:

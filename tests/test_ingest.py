@@ -5,6 +5,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,54 @@ def test_view_matrix_keeps_one_object_per_film_id():
     for sub in (view, view.restrict_users(["a", "c"])):
         for user in sub.users:
             assert all(key is film for key in sub.user_views(user))
+
+
+def assert_dense_matches_reads(view: ViewMatrix) -> None:
+    """Every cell of the cached arrays equals ``view.pct`` bit for bit (0.0
+    and unwatched where pct is None), with the matrix's user and film order."""
+    pct, watched = view.dense
+    assert pct.shape == watched.shape == (len(view.users), len(view.films))
+    assert pct.dtype == np.float64 and watched.dtype == bool
+    for u, user in enumerate(view.users):
+        for f, film in enumerate(view.films):
+            value = view.pct(film, user)
+            assert watched[u, f] == (value is not None)
+            assert pct[u, f].hex() == (0.0 if value is None else value).hex()
+
+
+def test_dense_arrays_match_every_cell():
+    """Stored 0.0 and -0.0 keep their sign; silent users (given through
+    users=) and unwatched films (through films=) are all-zero rows and
+    columns, both in a built and in a read matrix."""
+    entries = {("1", "a"): 0.0, ("1", "b"): -0.0, ("2", "a"): 0.25, ("10", "c"): 1.0, ("2", "c"): 0.5}
+    view = ViewMatrix(entries, films=["7"], users=["silent"])
+    assert_dense_matches_reads(view)
+    pct, watched = view.dense
+    assert np.signbit(pct[view.users.index("b"), view.films.index("1")])
+    assert not pct[view.users.index("silent")].any() and not watched[view.users.index("silent")].any()
+    assert not watched[:, view.films.index("7")].any()
+
+    rng = random.Random(17)
+    for _ in range(5):
+        assert_dense_matches_reads(oracles.random_view_matrix(rng, max_films=12, max_users=15))
+    text = HEADER + "2,u1,5,10\n1,u2,0,10\n2,u1,7,10\n10,u2,10,10\n"
+    assert_dense_matches_reads(read_view_matrix(io.StringIO(text)))
+
+
+def test_dense_arrays_are_read_only_and_built_once():
+    view = ViewMatrix({("1", "a"): 0.5, ("2", "b"): 0.0}, users=["c"])
+    dense = view.dense
+    assert view.dense is dense
+    for array in dense:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+
+    sub = view.restrict_users(["b", "c"])
+    assert sub.dense is not dense
+    assert sub.dense.pct.shape == (2, 2)
+    assert_dense_matches_reads(sub)
+    assert view.dense is dense
 
 
 def reference_read(text: str, *, clamp: bool = True, skip_bad_rows: bool = False) -> ViewMatrix:

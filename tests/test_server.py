@@ -54,11 +54,13 @@ def get_error(url: str) -> tuple[int, dict]:
         return exc.code, json.loads(exc.read())
 
 
-def test_health(base_url):
+def test_health(base_url, artifact):
     status, payload = get(f"{base_url}/v1/health")
     assert status == 200
     assert payload["status"] == "ok"
     assert payload["films"] == 10
+    assert payload["created_at"] == artifact.created_at
+    assert payload["config"] == artifact.config.to_dict()
 
 
 def test_recommendations_for_known_user(base_url, artifact):

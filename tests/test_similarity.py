@@ -10,6 +10,7 @@ from filmrec import DomainError, ViewMatrix, average_similarity, dual_similarity
 from filmrec.similarity import (
     NOT_COMPARABLE,
     AveragingPolicy,
+    comparable_counts,
     write_dual_similarity_csv,
 )
 
@@ -167,6 +168,39 @@ class TestAverageSimilarity:
             by_all = average_similarity(view, AveragingPolicy.ALL_USERS)
             off_diagonal = ~np.eye(len(view.films), dtype=bool)
             assert np.all(by_all.values[off_diagonal] <= by_count.values[off_diagonal] + 1e-15)
+
+
+def zero_heavy_view(rng: random.Random, user_count: int) -> ViewMatrix:
+    """12 films x ``user_count`` users, a third of the views at 0.0 or -0.0,
+    plus one silent user passed via ``users=`` and one film nobody watched."""
+    films = [str(i + 1) for i in range(12)]
+    users = [f"u{i + 1}" for i in range(user_count)]
+    entries = {}
+    for film in films[:-1]:
+        for user in users:
+            roll = rng.random()
+            if roll < 0.4:
+                continue
+            entries[(film, user)] = 0.0 if roll < 0.6 else -0.0 if roll < 0.7 else rng.random()
+    return ViewMatrix(entries, films=films, users=[*users, "silent"])
+
+
+@pytest.mark.parametrize("user_count", [1, 7, 8, 9, 63, 64, 65, 200])
+def test_popcount_comparable_count_equals_per_pair_count(user_count):
+    """Word-padding edges: the count equals, per pair, the users whose
+    scalar dual similarity is not NOT_COMPARABLE."""
+    view = zero_heavy_view(random.Random(user_count), user_count)
+    rows, cols = np.triu_indices(len(view.films), 1)
+    expected = [
+        sum(
+            dual_similarity(view.pct(view.films[i], user), view.pct(view.films[j], user)) != NOT_COMPARABLE
+            for user in view.users
+        )
+        for i, j in zip(rows, cols)
+    ]
+    counts = comparable_counts(*view.dense)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == expected
 
 
 def test_dual_similarity_dump_uses_minus_one():
