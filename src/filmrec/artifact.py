@@ -8,7 +8,7 @@ column and the modularity, which loading derives once from the state and
 requires the stored copies to equal. Serialization is canonical (sorted
 keys, shortest-round-trip floats), so the same state always produces the
 same bytes and a load/save cycle is byte-identical. Readers refuse
-documents written by a newer format version.
+documents written by a newer format version, and versions below 1.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ class PipelineArtifact:
         version = payload.get("format_version")
         if not isinstance(version, int) or isinstance(version, bool):
             raise DataError("artifact missing integer format_version")
+        if version < 1:
+            raise DataError(f"artifact format_version {version} is below 1, the first version")
         if version > FORMAT_VERSION:
             raise DataError(
                 f"artifact format_version {version} is newer than supported {FORMAT_VERSION}"

@@ -174,15 +174,15 @@ METHODS = {
 
 def _cmd_evaluate(args) -> int:
     config = _config_from_args(args)
-    # policies first: a bad method or k fails before any data is read
+    # policies and split first: a bad method, k or split fails before any data is read
     policies = []
     for name in args.methods.split(","):
         name = name.strip()
         if name not in METHODS:
             raise FilmRecError(f"unknown method: {name}")
         policies.append(METHODS[name](config, args))
-    view = load_view_matrix(args.events, config, skip_bad_rows=args.skip_bad_rows)
     split_spec = evaluation.SplitSpec(args.sample_size, args.train_fraction, config.seed)
+    view = load_view_matrix(args.events, config, skip_bad_rows=args.skip_bad_rows)
     train, test = evaluation.split_users(view, args.sample_size, args.train_fraction, config.seed)
     reports = [evaluation.evaluate_method(p, train, test, split=split_spec) for p in policies]
     with _output(args.output) as stream:

@@ -16,9 +16,10 @@ self-loops) and repeat until no move helps.
 
 Everything is deterministic by construction: sweeps visit nodes in ascending
 film order, gain ties keep the current cluster, ties between target clusters
-pick the lowest cluster id, and super-nodes are renumbered by their smallest
-member after every aggregation. ``louvain`` takes no randomness: its
-``seed`` argument is accepted and ignored.
+pick the lowest cluster id, and super-nodes are numbered by first appearance
+after every aggregation, which is the order of their smallest films (see the
+level state in ``louvain``). ``louvain`` takes no randomness: its ``seed``
+argument is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -85,9 +86,14 @@ def _level_modularity(
                 s_in[c] += weight
     q = 0.0
     for c in sorted(s_tot):
-        share = s_tot[c] / (2.0 * total_weight)
-        q += s_in[c] / total_weight - share * share
+        q += _term(s_in[c], s_tot[c], total_weight)
     return q
+
+
+def _term(inside: float, total: float, total_weight: float) -> float:
+    """A cluster's term e_rr - a_r^2 of Q from its inside weight and its degree."""
+    share = total / (2.0 * total_weight)
+    return inside / total_weight - share * share
 
 
 def louvain(
@@ -114,12 +120,16 @@ def louvain(
         return Clustering(assignment, 0.0)
 
     # Level graph state: nodes 0..m-1, ``adj`` without self-edges, separate
-    # self-loop weights, and the original node indices each level node holds.
+    # self-loop weights, and ``cluster_of[f]``, the level node holding film f.
+    # Level nodes stay in order of their smallest film. That holds for film
+    # order on the first level, and aggregation keeps it: a community's first
+    # level node holds its smallest film, so numbering super-nodes by first
+    # appearance numbers them by smallest film.
     adj = first_level
     loop: list[float] = [0.0] * n
-    members: list[list[int]] = [[i] for i in range(n)]
+    cluster_of = list(range(n))
 
-    q_running = _level_modularity(adj, loop, list(range(n)), total_weight)
+    q_running = _level_modularity(adj, loop, cluster_of, total_weight)
 
     while True:
         m = len(adj)
@@ -127,10 +137,6 @@ def louvain(
         k = [sum(adj[i].values()) + 2.0 * loop[i] for i in range(m)]
         s_tot = list(k)
         s_in = list(loop)
-
-        def community_term(c: int) -> float:
-            share = s_tot[c] / (2.0 * total_weight)
-            return s_in[c] / total_weight - share * share
 
         moved_in_level = False
         while True:
@@ -144,27 +150,23 @@ def louvain(
                 if not weight_to:
                     continue
 
-                before = community_term(current)
+                before = _term(s_in[current], s_tot[current], total_weight)
                 removed_in = s_in[current] - weight_to.get(current, 0.0) - loop[i]
                 removed_tot = s_tot[current] - k[i]
-                removed_share = removed_tot / (2.0 * total_weight)
-                removed_term = removed_in / total_weight - removed_share * removed_share
+                removed_term = _term(removed_in, removed_tot, total_weight)
 
                 best_gain = 0.0
                 best_comm = current
                 for c in sorted(weight_to):
                     if c == current:
                         continue
-                    target_before = community_term(c)
-                    added_in = s_in[c] + weight_to[c] + loop[i]
-                    added_tot = s_tot[c] + k[i]
-                    added_share = added_tot / (2.0 * total_weight)
-                    added_term = added_in / total_weight - added_share * added_share
+                    target_before = _term(s_in[c], s_tot[c], total_weight)
+                    added_term = _term(s_in[c] + weight_to[c] + loop[i], s_tot[c] + k[i], total_weight)
                     gain = (removed_term + added_term) - (before + target_before)
                     if gain > best_gain:
                         best_gain = gain
                         best_comm = c
-                if best_comm == current or best_gain <= 0.0:
+                if best_comm == current:
                     continue
 
                 if verify_gains:
@@ -193,43 +195,30 @@ def louvain(
         if not moved_in_level:
             break
 
-        # Aggregate: one super-node per community, renumbered so that ids
-        # follow the smallest original member (keeps later sweeps and ties
-        # anchored to film order).
-        present = sorted(set(comm), key=lambda c: min(min(members[i]) for i in range(m) if comm[i] == c))
-        relabel = {c: idx for idx, c in enumerate(present)}
-        new_m = len(present)
-        new_adj: list[dict[int, float]] = [{} for _ in range(new_m)]
-        new_loop = [0.0] * new_m
-        new_members: list[list[int]] = [[] for _ in range(new_m)]
+        # Aggregate: one super-node per community, numbered by first
+        # appearance, with intra-community weight kept as its self-loop.
+        relabel = {c: idx for idx, c in enumerate(dict.fromkeys(comm))}
+        comm = [relabel[c] for c in comm]
+        new_adj: list[dict[int, float]] = [{} for _ in relabel]
+        new_loop = [0.0] * len(relabel)
         for i in range(m):
-            c = relabel[comm[i]]
-            new_loop[c] += loop[i]
-            new_members[c].extend(members[i])
+            new_loop[comm[i]] += loop[i]
         for i in range(m):
-            ci = relabel[comm[i]]
+            ci = comm[i]
             for j, weight in adj[i].items():
                 if j <= i:
                     continue
-                cj = relabel[comm[j]]
+                cj = comm[j]
                 if ci == cj:
                     new_loop[ci] += weight
                 else:
                     new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + weight
                     new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + weight
-        adj = new_adj
-        loop = new_loop
-        members = [sorted(member_list) for member_list in new_members]
-        if len(adj) == m:
-            break
+        adj, loop = new_adj, new_loop
+        cluster_of = [comm[node] for node in cluster_of]
 
-    assignment: dict[str, int] = {}
-    cluster_order = sorted(range(len(members)), key=lambda c: min(members[c]))
-    for cluster_id, c in enumerate(cluster_order):
-        for original in members[c]:
-            assignment[g.nodes[original]] = cluster_id
-    comm = [assignment[node] for node in g.nodes]
-    return Clustering(assignment, _level_modularity(first_level, [0.0] * n, comm, total_weight))
+    q = _level_modularity(first_level, [0.0] * n, cluster_of, total_weight)
+    return Clustering(dict(zip(g.nodes, cluster_of)), q)
 
 
 def write_clusters_csv(clustering: Clustering, stream: TextIO) -> None:

@@ -96,7 +96,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -44,9 +44,24 @@ NON_PREFERRED = "non_preferred"
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """A user split: how many users to sample, the share that trains, and
+    the sampling seed. Construction refuses a split that could never work,
+    whatever the data."""
+
     sample_size: int
     train_fraction: float
     seed: int
+
+    def __post_init__(self):
+        if self.sample_size < 1:
+            raise DomainError(f"sample_size must be at least 1, got {self.sample_size}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise DomainError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.train_count() in (0, self.sample_size):
+            raise DomainError(f"train_fraction {self.train_fraction} leaves an empty split side")
+
+    def train_count(self) -> int:
+        return int(round(self.sample_size * self.train_fraction))
 
 
 def split_users(
@@ -57,20 +72,12 @@ def split_users(
     Films are shared across both sides; only the user pools differ. The same
     seed always produces the same split.
     """
-    if sample_size < 1:
-        raise DomainError(f"sample_size must be at least 1, got {sample_size}")
+    spec = SplitSpec(sample_size, train_fraction, seed)
     if sample_size > len(view.users):
         raise DomainError(f"sample_size {sample_size} exceeds user count {len(view.users)}")
-    if not 0.0 < train_fraction < 1.0:
-        raise DomainError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    rng = random.Random(seed)
-    sample = rng.sample(list(view.users), sample_size)
-    n_train = int(round(sample_size * train_fraction))
-    if n_train == 0 or n_train == sample_size:
-        raise DomainError(f"train_fraction {train_fraction} leaves an empty split side")
-    train_users = sample[:n_train]
-    test_users = sample[n_train:]
-    return view.restrict_users(train_users), view.restrict_users(test_users)
+    sample = random.Random(seed).sample(list(view.users), sample_size)
+    n_train = spec.train_count()
+    return view.restrict_users(sample[:n_train]), view.restrict_users(sample[n_train:])
 
 
 def judge(rs_value: float, label: str) -> int:

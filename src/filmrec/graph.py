@@ -120,9 +120,9 @@ class ShortestPaths:
 
     ``hops[s, t]`` is the hop count from s to t (-1 if unreachable).
     ``reach[s]`` counts the nodes s reaches, itself included, and
-    ``hop_sums[s]`` adds their hop counts. ``dependency[v]`` is Brandes'
-    unscaled betweenness: v's dependency summed over every source but v
-    itself."""
+    ``hop_sums[s]`` adds their hop counts; both are read off ``hops`` once,
+    when the kernel finishes. ``dependency[v]`` is Brandes' unscaled
+    betweenness: v's dependency summed over every source but v itself."""
 
     hops: np.ndarray
     reach: list[int]
@@ -144,19 +144,19 @@ def all_sources_paths(indptr: np.ndarray, indices: np.ndarray) -> ShortestPaths:
     """
     n = len(indptr) - 1
     hops = np.full((n, n), -1, dtype=np.int32)
-    reach, hop_sums = [], []
     dependency = np.zeros(n)
     component = _component_sizes(indptr, indices)
     block = max(1, _BLOCK_PAIRS // max(len(indices), n))
     for first in range(0, n, block):
         sources = np.arange(first, min(first + block, n))
-        rows, delta, reached, hop_sum = _brandes_block(sources, indptr, indices, component)
+        rows, delta = _brandes_block(sources, indptr, indices, component)
         hops[sources] = rows
-        reach += reached.tolist()
-        hop_sums += hop_sum.tolist()
         for row in delta:
             dependency += row
-    return ShortestPaths(hops, reach, hop_sums, dependency)
+    # Each unreachable target reads -1 in a row's sum; n - reach adds them back.
+    reach = (hops >= 0).sum(axis=1)
+    hop_sums = hops.sum(axis=1) + n - reach
+    return ShortestPaths(hops, reach.tolist(), hop_sums.tolist(), dependency)
 
 
 def _component_sizes(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -176,16 +176,16 @@ def _component_sizes(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 def _brandes_block(
     sources: np.ndarray, indptr: np.ndarray, indices: np.ndarray, component: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Hop rows, dependency rows (0 at the source), reach counts and hop
-    sums for a block of sources.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hop rows and dependency rows (0 at the source) for a block of sources.
 
     Pairs (s, v) are flat keys ``s * n + v`` with s the block-local source.
     A frontier holds one BFS level of every source in (source, FIFO order),
     and a source stops once it has reached its whole component, so the last
     level is never expanded. A level's candidates list each frontier node's
     neighbours in edge order; a new node's first sighting among them is
-    its FIFO position, and that position orders the dependency pass."""
+    its FIFO position, and that position orders the dependency pass. Each
+    source's reach count serves only that stop rule."""
     n = len(indptr) - 1
     size = len(sources) * n
     hops = np.full(size, -1, dtype=np.int32)
@@ -195,7 +195,6 @@ def _brandes_block(
     hops[start] = 0
     sigma[start] = 1.0
     reached = np.ones(len(sources), dtype=np.intp)
-    hop_sum = np.zeros(len(sources), dtype=np.intp)
     target = component[sources]
     frontier = start
     levels = []
@@ -220,16 +219,14 @@ def _brandes_block(
         hops[frontier] = depth
         np.add.at(sigma, child_key, sigma[parent_key])
         levels.append((parent_key, child_key, first))
-        found = np.bincount(frontier // n, minlength=len(sources))
-        reached += found
-        hop_sum += depth * found
+        reached += np.bincount(frontier // n, minlength=len(sources))
     delta = np.zeros(size)
     for parent_key, child_key, first in reversed(levels):
         share = (sigma[parent_key] / sigma[child_key]) * (1.0 + delta[child_key])
         order = np.argsort(-first, kind="stable")
         np.add.at(delta, parent_key[order], share[order])
     delta[start] = 0.0
-    return hops.reshape(-1, n), delta.reshape(-1, n), reached, hop_sum
+    return hops.reshape(-1, n), delta.reshape(-1, n)
 
 
 def build_graph(sim: SimilarityMatrix, edge_threshold: float = 0.0) -> FilmGraph:

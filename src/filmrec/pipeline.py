@@ -34,7 +34,7 @@ def _stage(name: str):
 
 def load_view_matrix(events_path: str | Path, config: PipelineConfig, *, skip_bad_rows: bool = False) -> ViewMatrix:
     with _stage("ingest"):
-        with open(events_path, newline="", encoding="utf-8") as stream:
+        with open(events_path, newline="", encoding="utf-8-sig") as stream:
             return read_view_matrix(stream, clamp=config.clamp, skip_bad_rows=skip_bad_rows)
 
 

@@ -335,6 +335,8 @@ class TestArtifactSerialization:
         "field, value, message",
         [
             ("format_version", True, "format_version"),
+            ("format_version", 0, "format_version 0 "),
+            ("format_version", -7, "format_version -7 "),
             ("created_at", [], "created_at"),
             ("created_at", None, "created_at"),
             ("created_at", 1, "created_at"),

@@ -184,6 +184,17 @@ def test_every_events_command_skips_a_bad_row_on_request(events_file, tmp_path, 
     assert written(bad, "--skip-bad-rows") == written(events_file)
 
 
+def test_byte_order_marked_events_and_config_files_are_read(events_file, tmp_path):
+    bom_events = tmp_path / "bom.csv"
+    bom_events.write_bytes(b"\xef\xbb\xbf" + events_file.read_bytes())
+    conf = tmp_path / "bom.cfg"
+    conf.write_bytes(b"\xef\xbb\xbfedge_threshold = 0.9\n")
+    plain_out, bom_out = tmp_path / "plain_view.csv", tmp_path / "bom_view.csv"
+    assert main(["ingest", "--config", str(conf), str(bom_events), "-o", str(bom_out)]) == 0
+    assert main(["ingest", str(events_file), "-o", str(plain_out)]) == 0
+    assert read_csv(bom_out) == read_csv(plain_out)
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
@@ -216,6 +227,13 @@ def test_unknown_eval_method_exits_two(events_file, capsys):
 def test_negative_sample_size_exits_two(events_file, capsys):
     assert main(["evaluate", str(events_file), "--sample-size", "-1"]) == 2
     assert "sample_size" in capsys.readouterr().err
+
+
+def test_bad_split_exits_two_before_the_events_are_read(tmp_path, capsys):
+    assert main(["evaluate", str(tmp_path / "missing.csv"), "--train-fraction", "1.5"]) == 2
+    err = capsys.readouterr().err
+    assert "train_fraction" in err
+    assert "missing.csv" not in err
 
 
 def test_help_exits_zero(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from filmrec import DomainError, FilmGraph, louvain, modularity_score
 
-from oracles import exhaustive_max_modularity, random_graph
+from oracles import component_graph, exhaustive_max_modularity, random_graph, synthetic_graph
 
 
 def two_triangles() -> FilmGraph:
@@ -14,6 +14,13 @@ def two_triangles() -> FilmGraph:
         [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.0),
          ("d", "e", 1.0), ("e", "f", 1.0), ("d", "f", 1.0)],
     )
+
+
+def larger_graphs(seed: int) -> list[FilmGraph]:
+    """Ten 20-60 node block graphs, which take several aggregation levels,
+    and the 120-film synthetic graph at edge threshold 0.35."""
+    rng = random.Random(seed)
+    return [component_graph(rng) for _ in range(10)] + [synthetic_graph(0.35)]
 
 
 def k4() -> FilmGraph:
@@ -71,8 +78,7 @@ class TestLouvain:
 
     def test_monotone_improvement_and_gain_consistency(self):
         rng = random.Random(43)
-        for _ in range(20):
-            g = random_graph(rng, max_nodes=8)
+        for g in [random_graph(rng, max_nodes=8) for _ in range(20)] + larger_graphs(44):
             trace: list[float] = []
             louvain(g, on_improve=trace.append, verify_gains=True)
             assert all(later >= earlier for earlier, later in zip(trace, trace[1:]))
@@ -94,8 +100,7 @@ class TestLouvain:
 
     def test_cluster_ids_are_dense_and_ordered_by_smallest_member(self):
         rng = random.Random(59)
-        for _ in range(20):
-            g = random_graph(rng, max_nodes=8)
+        for g in [random_graph(rng, max_nodes=8) for _ in range(20)] + larger_graphs(60):
             clustering = louvain(g)
             ids = set(clustering.assignment.values())
             assert ids == set(range(len(ids)))

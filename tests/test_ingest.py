@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from filmrec import (
     DataError,
     FormatError,
+    PipelineConfig,
     RowError,
     SyntheticSpec,
     ViewingEvent,
@@ -22,6 +23,7 @@ from filmrec import (
     parse_events,
 )
 from filmrec.ingest import CSV_COLUMNS, ident_sort_key, read_view_matrix
+from filmrec.pipeline import load_view_matrix
 
 HEADER = "film_id,user_id,watch_seconds,total_seconds\n"
 
@@ -401,3 +403,11 @@ def test_single_pass_read_equals_oracle_on_a_benchmark_sized_file(tmp_path, monk
     assert (view, order) == outcome(reference_read, text)
     assert view == expected
     assert build_view_matrix(parse(text)) == view
+
+
+def test_byte_order_marked_file_folds_to_the_plain_file_matrix(tmp_path):
+    text = HEADER + "1,u1,30,60\n2,u1,60,60\n1,u2,5,60\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_view_matrix(marked, PipelineConfig()) == load_view_matrix(plain, PipelineConfig())
