@@ -1,14 +1,36 @@
 """Versioned on-disk pipeline artifact.
 
-One JSON document holds everything the serving layer needs. Its state is
-the config snapshot, the films, the similarity matrix, the three
-centrality components, the cluster assignment and the per-user preference
-profiles; it also stores the graph's edges, the average-centrality (AC)
-column and the modularity, which loading derives once from the state and
-requires the stored copies to equal. Serialization is canonical (sorted
-keys, shortest-round-trip floats), so the same state always produces the
-same bytes and a load/save cycle is byte-identical. Readers refuse
-documents written by a newer format version, and versions below 1.
+``save`` writes one canonical JSON document of format 2. It holds only the
+pipeline's state:
+
+- ``format_version`` and ``created_at``, the build time;
+- ``config``, the config snapshot;
+- ``films``, the film ids in similarity order. Every list below that
+  follows or names films uses this order;
+- ``similarity``, the upper triangle of the similarity matrix, diagonal
+  included, row-major as ``np.triu_indices`` gives it, in one flat list;
+- ``centrality``, the ``degree``, ``closeness`` and ``betweenness`` lists;
+- ``clustering``, whose ``assignment`` lists one cluster id per film;
+- ``profiles``, per user the ``preferred`` and ``non_preferred`` lists of
+  indices into ``films``.
+
+Load derives the rest once, with the pipeline's own functions: the
+symmetric matrix, the graph (from the similarity and the config's edge
+threshold), the average-centrality (AC) column and the modularity. It
+refuses a key outside the schema, a similarity entry that is not a JSON
+float, and a profile index that is not an integer, falls outside the film
+list or repeats, besides the state checks that ``validate`` repeats.
+
+Format 1 is still read, with every check it had. It stores the full
+square matrix, films by id, the edges, the AC column and the modularity;
+load requires the stored copies to equal what it derives. ``to_payload``
+renders the state as a format-1 document, so ``payload_without_timestamp``
+keeps its shape and hash whichever format a file holds.
+
+Serialization is canonical (sorted keys, shortest-round-trip floats), so
+the same state always produces the same bytes and a load/save cycle is
+byte-identical. Readers refuse documents written by a newer format
+version, and versions below 1.
 """
 
 from __future__ import annotations
@@ -27,12 +49,22 @@ from .graph import CentralityTable, FilmGraph, build_graph
 from .profiles import PreferenceProfile
 from .similarity import SimilarityMatrix
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+_DOCUMENT_KEYS = {
+    "format_version", "created_at", "config", "films", "similarity", "centrality", "clustering", "profiles"
+}
+# by format version, the keys a document and each of its fixed-key sections may hold
+_KEYS = {
+    1: {"document": _DOCUMENT_KEYS | {"edges"}, "clustering": {"assignment", "modularity"}},
+    2: {"document": _DOCUMENT_KEYS, "centrality": {"degree", "closeness", "betweenness"}, "clustering": {"assignment"}},
+}
+_PROFILE_KEYS = {"preferred", "non_preferred"}
 
 
 @dataclass(frozen=True)
 class PipelineArtifact:
-    format_version: int
+    format_version: int  # the version of the file it was loaded from; FORMAT_VERSION when built
     config: PipelineConfig
     similarity: SimilarityMatrix
     graph: FilmGraph
@@ -55,8 +87,9 @@ class PipelineArtifact:
         return cls(FORMAT_VERSION, config, similarity, graph, centrality, clustering, profiles, created)
 
     def to_payload(self) -> dict:
+        """The artifact as a format-1 document, derived data included."""
         return {
-            "format_version": self.format_version,
+            "format_version": 1,
             "created_at": self.created_at,
             "config": self.config.to_dict(),
             "films": list(self.similarity.films),
@@ -84,8 +117,34 @@ class PipelineArtifact:
         payload.pop("created_at")
         return payload
 
+    def state_payload(self) -> dict:
+        """The artifact as the format-2 document ``save`` writes: the state only."""
+        films = self.similarity.films
+        index = {film: i for i, film in enumerate(films)}
+        rows = [self.centrality.rows[film] for film in films]
+        return {
+            "format_version": FORMAT_VERSION,
+            "created_at": self.created_at,
+            "config": self.config.to_dict(),
+            "films": list(films),
+            "similarity": self.similarity.values[np.triu_indices(len(films))].tolist(),
+            "centrality": {
+                "degree": [row.degree_c for row in rows],
+                "closeness": [row.closeness_c for row in rows],
+                "betweenness": [row.betweenness_c for row in rows],
+            },
+            "clustering": {"assignment": [self.clustering.assignment[film] for film in films]},
+            "profiles": {
+                user: {
+                    "preferred": [index[film] for film in profile.preferred],
+                    "non_preferred": [index[film] for film in profile.non_preferred],
+                }
+                for user, profile in self.profiles.items()
+            },
+        }
+
     def save(self, path: str | Path) -> None:
-        text = json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
+        text = json.dumps(self.state_payload(), sort_keys=True, separators=(",", ":"))
         Path(path).write_text(text, encoding="utf-8")
 
     @classmethod
@@ -98,8 +157,9 @@ class PipelineArtifact:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PipelineArtifact":
-        """Read and check the state, derive the graph, the AC column and the
-        modularity from it, and require the stored copies to equal them."""
+        """Read and check a format-1 or format-2 document's state and derive
+        the graph, the AC column and the modularity from it. A format-1
+        document's stored copies of these must equal what was derived."""
         if not isinstance(payload, dict):
             raise DataError(f"artifact is not a JSON object: {type(payload).__name__}")
         version = payload.get("format_version")
@@ -111,43 +171,30 @@ class PipelineArtifact:
             raise DataError(
                 f"artifact format_version {version} is newer than supported {FORMAT_VERSION}"
             )
+        keys = _KEYS[version]
+        _check_keys(payload, keys["document"], "document")
         for section in ("config", "centrality", "clustering", "profiles"):
             if not isinstance(payload.get(section), dict):
                 raise DataError(f"malformed artifact payload: {section} is not an object")
+            if section in keys:
+                _check_keys(payload[section], keys[section], section)
+        read = _read_v1_state if version == 1 else _read_v2_state
         try:
             config = PipelineConfig.from_dict(payload["config"])
             films = _film_ids(payload["films"], "films")
-            values = np.array(payload["similarity"], dtype=np.float64)
-            if values.shape != (len(films), len(films)):
-                raise DataError("similarity matrix shape does not match film list")
-            similarity = SimilarityMatrix(films, values)
-            components, stored_ac = {}, {}
-            for film, (d, c, b, avg) in payload["centrality"].items():
-                components[film] = (d, c, b)
-                stored_ac[film] = avg
-            assignment = dict(payload["clustering"]["assignment"])
-            stored_modularity = payload["clustering"]["modularity"]
-            stored_edges = payload["edges"]
-            profiles = {}
-            for user, entry in payload["profiles"].items():
-                what = f"profile for {user}"
-                preferred, non_preferred = _film_ids(entry["preferred"], what), _film_ids(entry["non_preferred"], what)
-                profiles[user] = PreferenceProfile(user, preferred, non_preferred)
+            values, components, assignment, profiles, stored = read(payload, films)
             created_at = payload["created_at"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed artifact payload: {exc!r}")
         if not isinstance(created_at, str):
             raise DataError(f"artifact created_at is not a string: {created_at!r}")
+        similarity = SimilarityMatrix(films, values)
         _check_state(config, similarity, components, assignment, profiles)
         graph = build_graph(similarity, config.edge_threshold)
         centrality = CentralityTable.from_components(components)
         clustering = Clustering(assignment, modularity_score(graph, assignment))
-        if stored_edges != [[a, b, weight] for a, b, weight in graph.edges()]:
-            raise DataError("artifact graph does not match similarity matrix and threshold")
-        if stored_ac != {film: row.avg_c for film, row in centrality.rows.items()}:
-            raise DataError("artifact average-centrality column is not the mean of the stored components")
-        if not isinstance(stored_modularity, float) or stored_modularity != clustering.modularity:
-            raise DataError(f"artifact modularity {stored_modularity!r} is not the modularity of the stored partition")
+        if stored is not None:
+            _check_stored_copies(*stored, graph, centrality, clustering)
         return cls(version, config, similarity, graph, centrality, clustering, profiles, created_at)
 
     def validate(self) -> None:
@@ -162,10 +209,88 @@ class PipelineArtifact:
         _check_state(self.config, self.similarity, components, self.clustering.assignment, self.profiles)
 
 
+def _check_keys(section: dict, allowed: set[str], what: str) -> None:
+    if not section.keys() <= allowed:
+        raise DataError(f"artifact {what} has unknown key {min(section.keys() - allowed)!r}")
+
+
 def _film_ids(value, what: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not set(map(type, value)) <= {str}:
         raise DataError(f"artifact {what} is not a list of film ids")
     return tuple(value)
+
+
+def _profile_entries(payload: dict):
+    """Each user with the two lists of their profile entry."""
+    for user, entry in payload["profiles"].items():
+        what = f"profile for {user}"
+        if not isinstance(entry, dict):
+            raise DataError(f"artifact {what} is not an object")
+        _check_keys(entry, _PROFILE_KEYS, what)
+        yield user, what, entry["preferred"], entry["non_preferred"]
+
+
+def _read_v1_state(payload: dict, films: tuple[str, ...]):
+    """A format-1 document's state, and its stored edges, AC column and
+    modularity for ``_check_stored_copies``."""
+    values = np.array(payload["similarity"], dtype=np.float64)
+    if values.shape != (len(films), len(films)):
+        raise DataError("similarity matrix shape does not match film list")
+    components, stored_ac = {}, {}
+    for film, (d, c, b, avg) in payload["centrality"].items():
+        components[film] = (d, c, b)
+        stored_ac[film] = avg
+    assignment = dict(payload["clustering"]["assignment"])
+    profiles = {
+        user: PreferenceProfile(user, _film_ids(preferred, what), _film_ids(non_preferred, what))
+        for user, what, preferred, non_preferred in _profile_entries(payload)
+    }
+    stored = (payload["edges"], stored_ac, payload["clustering"]["modularity"])
+    return values, components, assignment, profiles, stored
+
+
+def _read_v2_state(payload: dict, films: tuple[str, ...]):
+    """A format-2 document's state, with films named by position."""
+    count = len(films)
+    upper = payload["similarity"]
+    if not isinstance(upper, list) or len(upper) != count * (count + 1) // 2:
+        raise DataError("artifact similarity is not the upper triangle of a film-by-film matrix")
+    if not set(map(type, upper)) <= {float}:
+        raise DataError("artifact similarity has an entry that is not a float")
+    values = np.empty((count, count))
+    rows, cols = np.triu_indices(count)
+    values[rows, cols] = values[cols, rows] = np.array(upper, dtype=np.float64)
+    columns = [payload["centrality"][name] for name in ("degree", "closeness", "betweenness")]
+    if not all(isinstance(column, list) and len(column) == count for column in columns):
+        raise DataError("artifact centrality does not hold one row per film")
+    components = dict(zip(films, zip(*columns)))
+    assignment = payload["clustering"]["assignment"]
+    if not isinstance(assignment, list) or len(assignment) != count:
+        raise DataError("artifact clustering does not hold one cluster id per film")
+    profiles = {
+        user: PreferenceProfile(user, _films_at(preferred, films, what), _films_at(non_preferred, films, what))
+        for user, what, preferred, non_preferred in _profile_entries(payload)
+    }
+    return values, components, dict(zip(films, assignment)), profiles, None
+
+
+def _films_at(value, films: tuple[str, ...], what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
+        raise DataError(f"artifact {what} is not a list of film indices")
+    if value and not (0 <= min(value) and max(value) < len(films)):
+        raise DataError(f"artifact {what} names a film index outside the film list")
+    return tuple(map(films.__getitem__, value))
+
+
+def _check_stored_copies(
+    edges, avg_c: dict, modularity, graph: FilmGraph, centrality: CentralityTable, clustering: Clustering
+) -> None:
+    if edges != [[a, b, weight] for a, b, weight in graph.edges()]:
+        raise DataError("artifact graph does not match similarity matrix and threshold")
+    if avg_c != {film: row.avg_c for film, row in centrality.rows.items()}:
+        raise DataError("artifact average-centrality column is not the mean of the stored components")
+    if not isinstance(modularity, float) or modularity != clustering.modularity:
+        raise DataError(f"artifact modularity {modularity!r} is not the modularity of the stored partition")
 
 
 def _check_state(

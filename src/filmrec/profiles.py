@@ -11,6 +11,8 @@ import csv
 from dataclasses import dataclass
 from typing import TextIO
 
+import numpy as np
+
 from .errors import DomainError
 from .ingest import ViewMatrix, ident_sort_key
 
@@ -33,21 +35,21 @@ def build_profiles(view: ViewMatrix, threshold: float = 0.5) -> dict[str, Prefer
     """
     if not 0.0 < threshold < 1.0:
         raise DomainError(f"threshold must be in (0, 1), got {threshold}")
-    # view.films is in ident_sort_key order, so a film's position there is
-    # its id's rank.
-    rank = {film: i for i, film in enumerate(view.films)}
+    # view.films is in ident_sort_key order, so a column's index is its
+    # film id's rank; lexsort's last key leads, and -0.0 ties with 0.0
+    films = np.array(view.films, dtype=object)
     profiles: dict[str, PreferenceProfile] = {}
-    for user in view.users:
-        views = view.user_views(user)
-        preferred = sorted(
-            (film for film, pct in views.items() if pct > threshold),
-            key=lambda film: (-views[film], rank[film]),
+    for user, pct, watched in zip(view.users, *view.dense):
+        cols = np.flatnonzero(watched)
+        values = pct[cols]
+        above = values > threshold
+        below = ~above
+        preferred, non_preferred = cols[above], cols[below]
+        preferred = preferred[np.lexsort((preferred, -values[above]))]
+        non_preferred = non_preferred[np.lexsort((non_preferred, values[below]))]
+        profiles[user] = PreferenceProfile(
+            user, tuple(films[preferred].tolist()), tuple(films[non_preferred].tolist())
         )
-        non_preferred = sorted(
-            (film for film, pct in views.items() if pct <= threshold),
-            key=lambda film: (views[film], rank[film]),
-        )
-        profiles[user] = PreferenceProfile(user, tuple(preferred), tuple(non_preferred))
     return profiles
 
 

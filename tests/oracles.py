@@ -7,8 +7,9 @@ set partition, the graph's edge list by the scalar i < j pair loop, and
 averaged similarity by materializing the full per-user dual-similarity
 tensor before aggregating, or by the scalar films x films x users loop, the
 kNN and Naive Bayes baselines by their dict loops, ego scores by the
-per-pair loop over one single-source BFS per ego, and ingest by the
-``csv.DictReader`` parser and the (film, user)-keyed fold.
+per-pair loop over one single-source BFS per ego, ingest by the
+``csv.DictReader`` parser and the (film, user)-keyed fold, and preference
+profiles by sorting each user's view dict.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from filmrec import (
     SimilarityMatrix,
     SyntheticSpec,
     ViewingEvent,
+    PreferenceProfile,
     ViewMatrix,
     average_similarity,
     build_graph,
@@ -487,3 +489,21 @@ def build_view_matrix(events: Iterable[ViewingEvent], clamp: bool = True) -> Vie
     if not seen_any:
         raise DataError("no viewing events")
     return ViewMatrix(entries)
+
+
+def dict_sorted_profiles(view: ViewMatrix, threshold: float) -> dict[str, PreferenceProfile]:
+    """Each user's view dict split at ``threshold``: preferred films by
+    descending percentage, non-preferred by ascending, ties by film id."""
+    profiles = {}
+    for user in view.users:
+        views = view.user_views(user)
+        preferred = sorted(
+            (film for film, pct in views.items() if pct > threshold),
+            key=lambda film: (-views[film], ident_sort_key(film)),
+        )
+        non_preferred = sorted(
+            (film for film, pct in views.items() if pct <= threshold),
+            key=lambda film: (views[film], ident_sort_key(film)),
+        )
+        profiles[user] = PreferenceProfile(user, tuple(preferred), tuple(non_preferred))
+    return profiles

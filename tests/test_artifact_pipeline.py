@@ -1,7 +1,10 @@
 import json
 import logging
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filmrec.graph
 from filmrec import (
@@ -467,6 +470,239 @@ class TestArtifactSerialization:
         payload["config"][key] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=key):
+            PipelineArtifact.load(path)
+
+
+def canonical(document) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+class TestFormatTwo:
+    """The saved document holds only state, with films named by position."""
+
+    @staticmethod
+    def saved(tmp_path, artifact) -> dict:
+        path = tmp_path / "saved.json"
+        artifact.save(path)
+        return json.loads(path.read_text())
+
+    @staticmethod
+    def load(tmp_path, document):
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(document))
+        return PipelineArtifact.load(path)
+
+    def test_saved_document_holds_only_the_state(self, tmp_path, small_artifact):
+        document = self.saved(tmp_path, small_artifact)
+        films = small_artifact.similarity.films
+        assert document["format_version"] == 2
+        assert set(document) == {
+            "format_version", "created_at", "config", "films", "similarity", "centrality", "clustering", "profiles"
+        }
+        assert len(document["similarity"]) == len(films) * (len(films) + 1) // 2
+        assert document["clustering"] == {
+            "assignment": [small_artifact.clustering.assignment[film] for film in films]
+        }
+        user, profile = next((u, p) for u, p in small_artifact.profiles.items() if p.preferred)
+        assert [films[i] for i in document["profiles"][user]["preferred"]] == list(profile.preferred)
+
+    def test_saved_file_is_under_half_the_format_one_rendering(self, tmp_path, small_artifact):
+        path = tmp_path / "saved.json"
+        small_artifact.save(path)
+        assert 2 * len(path.read_text()) < len(canonical(small_artifact.to_payload()))
+
+    def test_load_reports_the_version_of_the_file(self, tmp_path, small_artifact):
+        path = tmp_path / "saved.json"
+        small_artifact.save(path)
+        assert PipelineArtifact.load(path).format_version == 2
+        assert self.load(tmp_path, small_artifact.to_payload()).format_version == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 12),
+        st.integers(1, 3),
+        st.integers(0, 2**16),
+        st.sampled_from([0.0, 0.2, 0.35, 0.6, 1.0]),
+        st.floats(0.05, 0.95),
+    )
+    def test_round_trip_over_small_specs(
+        self, tmp_path_factory, film_count, user_count, clusters, seed, edge_threshold, preference_threshold
+    ):
+        spec = SyntheticSpec(
+            film_count=film_count, user_count=user_count, planted_cluster_count=min(clusters, film_count), seed=seed
+        )
+        config = PipelineConfig(edge_threshold=edge_threshold, preference_threshold=preference_threshold)
+        built = run_pipeline_from_view(generate_synthetic(spec), config)
+        directory = tmp_path_factory.mktemp("round_trip")
+        saved, resaved = directory / "saved.json", directory / "resaved.json"
+        built.save(saved)
+        loaded = PipelineArtifact.load(saved)
+        loaded.save(resaved)
+        assert resaved.read_bytes() == saved.read_bytes()
+        assert loaded.payload_without_timestamp() == built.payload_without_timestamp()
+
+    @staticmethod
+    def _corrupt(document, corruption):
+        films, similarity = document["films"], document["similarity"]
+        profiles = document["profiles"]
+        user = next(user for user, entry in profiles.items() if len(entry["preferred"]) > 1)
+        entry = profiles[user]
+        if corruption.startswith("similarity_cell_"):
+            similarity[1] = {"text": "0.5", "true": True, "int": 0, "null": None}[corruption.rsplit("_", 1)[1]]
+        elif corruption == "similarity_short":
+            similarity.pop()
+        elif corruption == "similarity_square":
+            document["similarity"] = [similarity[:len(films)]] * len(films)
+        elif corruption == "similarity_negative":
+            similarity[1] = -0.5
+        elif corruption == "similarity_nan":
+            similarity[1] = float("nan")
+        elif corruption == "similarity_fractional_diagonal":
+            similarity[0] = 0.5
+        elif corruption == "profile_index_bool":
+            entry["preferred"][0] = True
+        elif corruption == "profile_index_float":
+            entry["preferred"][0] = 1.0
+        elif corruption == "profile_index_text":
+            entry["preferred"][0] = "1"
+        elif corruption == "profile_index_negative":
+            entry["preferred"][0] = -1
+        elif corruption == "profile_index_past_end":
+            entry["non_preferred"].append(len(films))
+        elif corruption == "profile_index_repeated":
+            entry["preferred"][1] = entry["preferred"][0]
+        elif corruption == "profile_index_in_both_lists":
+            entry["non_preferred"].append(entry["preferred"][0])
+        elif corruption == "profile_not_an_object":
+            profiles[user] = [entry["preferred"], entry["non_preferred"]]
+        elif corruption == "profile_missing_list":
+            del entry["non_preferred"]
+        elif corruption == "bogus_key_top_level":
+            document["bogus"] = 1
+        elif corruption == "format_one_edges_key":
+            document["edges"] = []
+        elif corruption == "bogus_key_in_clustering":
+            document["clustering"]["bogus"] = 1
+        elif corruption == "format_one_modularity_key":
+            document["clustering"]["modularity"] = 0.0
+        elif corruption == "bogus_key_in_centrality":
+            document["centrality"]["bogus"] = []
+        elif corruption == "bogus_key_in_profile":
+            entry["bogus"] = []
+        elif corruption == "bogus_key_in_config":
+            document["config"]["bogus"] = 1
+        elif corruption == "centrality_column_short":
+            document["centrality"]["closeness"].pop()
+        elif corruption == "centrality_component_text":
+            document["centrality"]["degree"][0] = "0.5"
+        elif corruption == "centrality_component_above_one":
+            document["centrality"]["betweenness"][0] = 1.5
+        elif corruption == "assignment_short":
+            document["clustering"]["assignment"].pop()
+        elif corruption == "assignment_bool":
+            assignment = document["clustering"]["assignment"]
+            assignment[assignment.index(0)] = False
+        elif corruption == "assignment_sparse":
+            document["clustering"]["assignment"][0] = 99
+        elif corruption == "repeated_film":
+            films[-1] = films[0]
+        elif corruption == "film_not_text":
+            films[0] = 1
+
+    @pytest.mark.parametrize(
+        "corruption, message",
+        [
+            ("similarity_cell_text", "similarity has an entry that is not a float"),
+            ("similarity_cell_true", "similarity has an entry that is not a float"),
+            ("similarity_cell_int", "similarity has an entry that is not a float"),
+            ("similarity_cell_null", "similarity has an entry that is not a float"),
+            ("similarity_short", "upper triangle"),
+            ("similarity_square", "upper triangle"),
+            ("similarity_negative", "outside \\[0, 1\\]"),
+            ("similarity_nan", "not finite"),
+            ("similarity_fractional_diagonal", "diagonal"),
+            ("profile_index_bool", "not a list of film indices"),
+            ("profile_index_float", "not a list of film indices"),
+            ("profile_index_text", "not a list of film indices"),
+            ("profile_index_negative", "film index outside the film list"),
+            ("profile_index_past_end", "film index outside the film list"),
+            ("profile_index_repeated", "names a film twice"),
+            ("profile_index_in_both_lists", "names a film twice"),
+            ("profile_not_an_object", "is not an object"),
+            ("profile_missing_list", "malformed"),
+            ("bogus_key_top_level", "artifact document has unknown key 'bogus'"),
+            ("format_one_edges_key", "artifact document has unknown key 'edges'"),
+            ("bogus_key_in_clustering", "artifact clustering has unknown key 'bogus'"),
+            ("format_one_modularity_key", "artifact clustering has unknown key 'modularity'"),
+            ("bogus_key_in_centrality", "artifact centrality has unknown key 'bogus'"),
+            ("bogus_key_in_profile", "has unknown key 'bogus'"),
+            ("bogus_key_in_config", "unknown config key: bogus"),
+            ("centrality_column_short", "centrality does not hold one row per film"),
+            ("centrality_component_text", "centrality row"),
+            ("centrality_component_above_one", "centrality row"),
+            ("assignment_short", "one cluster id per film"),
+            ("assignment_bool", "cluster ids"),
+            ("assignment_sparse", "cluster ids"),
+            ("repeated_film", "artifact films name 1 twice"),
+            ("film_not_text", "not a list of film ids"),
+        ],
+    )
+    def test_single_field_corruption_rejected(self, tmp_path, small_artifact, corruption, message):
+        document = self.saved(tmp_path, small_artifact)
+        self._corrupt(document, corruption)
+        with pytest.raises(DataError, match=message):
+            self.load(tmp_path, document)
+
+    @pytest.mark.parametrize("where", ["document", "clustering", "profile"])
+    def test_unknown_key_in_format_one_document_rejected(self, tmp_path, small_artifact, where):
+        payload = small_artifact.to_payload()
+        section = {
+            "document": payload,
+            "clustering": payload["clustering"],
+            "profile": next(iter(payload["profiles"].values())),
+        }[where]
+        section["bogus"] = 1
+        with pytest.raises(DataError, match="unknown key 'bogus'"):
+            self.load(tmp_path, payload)
+
+
+V1_FIXTURE = Path(__file__).parent / "data" / "artifact_v1.json"
+
+
+class TestFormatOneFixture:
+    """``data/artifact_v1.json`` was written by the format-1 writer from
+    ``SyntheticSpec(film_count=8, user_count=20, seed=3)`` at
+    ``edge_threshold`` 0.3."""
+
+    @staticmethod
+    def built():
+        view = generate_synthetic(SyntheticSpec(film_count=8, user_count=20, seed=3))
+        return run_pipeline_from_view(view, PipelineConfig(edge_threshold=0.3))
+
+    def test_loads_to_the_state_the_pipeline_builds(self):
+        loaded = PipelineArtifact.load(V1_FIXTURE)
+        assert loaded.format_version == 1
+        assert loaded.payload_without_timestamp() == self.built().payload_without_timestamp()
+        # to_payload still renders exactly what the format-1 writer wrote
+        assert canonical(loaded.to_payload()) == V1_FIXTURE.read_text(encoding="utf-8")
+
+    def test_save_writes_format_two_of_the_same_state(self, tmp_path):
+        loaded = PipelineArtifact.load(V1_FIXTURE)
+        path = tmp_path / "resaved.json"
+        loaded.save(path)
+        assert json.loads(path.read_text())["format_version"] == 2
+        reloaded = PipelineArtifact.load(path)
+        assert reloaded.format_version == 2
+        assert reloaded.created_at == loaded.created_at
+        assert reloaded.payload_without_timestamp() == loaded.payload_without_timestamp()
+
+    def test_tampered_fixture_edges_rejected(self, tmp_path):
+        payload = json.loads(V1_FIXTURE.read_text(encoding="utf-8"))
+        payload["edges"] = payload["edges"][:-1]
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="graph"):
             PipelineArtifact.load(path)
 
 

@@ -82,7 +82,7 @@ def test_run_and_recommend(events_file, tmp_path, capsys):
     assert main(["run", str(events_file), "-o", str(artifact_path)]) == 0
     assert artifact_path.exists()
     payload = json.loads(artifact_path.read_text())
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == 2
 
     user = next(iter(payload["profiles"]))
     out = tmp_path / "recs.csv"

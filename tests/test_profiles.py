@@ -1,11 +1,12 @@
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filmrec import DomainError, ViewMatrix, build_profiles
 from filmrec.profiles import write_profiles_csv
+from oracles import dict_sorted_profiles
 
 
 def view_of(user_views: dict[str, dict[str, float]]) -> ViewMatrix:
@@ -90,6 +91,24 @@ def test_raising_threshold_never_grows_preferred(views, low, high):
     low_preferred = set(build_profiles(matrix, low)["u"].preferred)
     high_preferred = set(build_profiles(matrix, high)["u"].preferred)
     assert high_preferred <= low_preferred
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.sampled_from([str(i) for i in range(1, 13)]), st.sampled_from(["u1", "u2", "u10", "u3"])),
+        st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(min_value=0, max_value=1)),
+    ),
+    st.sampled_from([0.25, 0.5, 0.75]),
+)
+def test_equals_dict_sort_oracle_with_ties_and_signed_zeros(entries, threshold):
+    """Equal profiles in the same user order, where percentages tie (0.0
+    with -0.0 too) and film ids sort differently as text and as numbers."""
+    view = ViewMatrix(entries, films=["1", "2", "10"], users=["u0"])
+    profiles = build_profiles(view, threshold)
+    expected = dict_sorted_profiles(view, threshold)
+    assert profiles == expected
+    assert list(profiles) == list(expected)
 
 
 def test_csv_export():
