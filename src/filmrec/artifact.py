@@ -21,9 +21,10 @@ refuses a key outside the schema, a similarity entry that is not a JSON
 float, and a profile index that is not an integer, falls outside the film
 list or repeats, besides the state checks that ``validate`` repeats.
 
-Format 1 is still read, with every check it had. It stores the full
-square matrix, films by id, the edges, the AC column and the modularity;
-load requires the stored copies to equal what it derives. ``to_payload``
+Format 1 is still read, with every check it had, and the key and float
+checks above. It stores the full square matrix, films by id, the edges,
+the AC column and the modularity; load requires the stored copies to equal
+what it derives. ``to_payload``
 renders the state as a format-1 document, so ``payload_without_timestamp``
 keeps its shape and hash whichever format a file holds.
 
@@ -36,8 +37,10 @@ version, and versions below 1.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +120,7 @@ class PipelineArtifact:
         payload.pop("created_at")
         return payload
 
-    def state_payload(self) -> dict:
+    def _state_payload(self) -> dict:
         """The artifact as the format-2 document ``save`` writes: the state only."""
         films = self.similarity.films
         index = {film: i for i, film in enumerate(films)}
@@ -144,7 +147,7 @@ class PipelineArtifact:
         }
 
     def save(self, path: str | Path) -> None:
-        text = json.dumps(self.state_payload(), sort_keys=True, separators=(",", ":"))
+        text = json.dumps(self._state_payload(), sort_keys=True, separators=(",", ":"))
         Path(path).write_text(text, encoding="utf-8")
 
     @classmethod
@@ -214,6 +217,12 @@ def _check_keys(section: dict, allowed: set[str], what: str) -> None:
         raise DataError(f"artifact {what} has unknown key {min(section.keys() - allowed)!r}")
 
 
+def _check_floats(similarity: Iterable) -> None:
+    # np.array(..., float64) would take "0.5", true or 0 as a number
+    if not set(map(type, similarity)) <= {float}:
+        raise DataError("artifact similarity has an entry that is not a float")
+
+
 def _film_ids(value, what: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not set(map(type, value)) <= {str}:
         raise DataError(f"artifact {what} is not a list of film ids")
@@ -233,9 +242,11 @@ def _profile_entries(payload: dict):
 def _read_v1_state(payload: dict, films: tuple[str, ...]):
     """A format-1 document's state, and its stored edges, AC column and
     modularity for ``_check_stored_copies``."""
-    values = np.array(payload["similarity"], dtype=np.float64)
+    rows = payload["similarity"]
+    values = np.array(rows, dtype=np.float64)
     if values.shape != (len(films), len(films)):
         raise DataError("similarity matrix shape does not match film list")
+    _check_floats(chain.from_iterable(rows))
     components, stored_ac = {}, {}
     for film, (d, c, b, avg) in payload["centrality"].items():
         components[film] = (d, c, b)
@@ -255,8 +266,7 @@ def _read_v2_state(payload: dict, films: tuple[str, ...]):
     upper = payload["similarity"]
     if not isinstance(upper, list) or len(upper) != count * (count + 1) // 2:
         raise DataError("artifact similarity is not the upper triangle of a film-by-film matrix")
-    if not set(map(type, upper)) <= {float}:
-        raise DataError("artifact similarity has an entry that is not a float")
+    _check_floats(upper)
     values = np.empty((count, count))
     rows, cols = np.triu_indices(count)
     values[rows, cols] = values[cols, rows] = np.array(upper, dtype=np.float64)

@@ -654,6 +654,13 @@ class TestFormatTwo:
         with pytest.raises(DataError, match=message):
             self.load(tmp_path, document)
 
+    @pytest.mark.parametrize("cell", ["0.5", True, 0])
+    def test_non_float_similarity_cell_in_format_one_document_rejected(self, tmp_path, small_artifact, cell):
+        payload = small_artifact.to_payload()
+        payload["similarity"][0][1] = cell
+        with pytest.raises(DataError, match="similarity has an entry that is not a float"):
+            self.load(tmp_path, payload)
+
     @pytest.mark.parametrize("where", ["document", "clustering", "profile"])
     def test_unknown_key_in_format_one_document_rejected(self, tmp_path, small_artifact, where):
         payload = small_artifact.to_payload()
