@@ -25,7 +25,7 @@ from .config import PipelineConfig, read_config_file, validate_config
 from .errors import FilmRecError
 from .graph import write_centrality_csv, write_edges_csv
 from .ingest import write_view_matrix_csv
-from .pipeline import load_view_matrix, recommend, run_pipeline
+from .pipeline import load_view_matrix, recommend, run_pipeline, run_pipeline_from_view
 from .profiles import build_profiles, write_profiles_csv
 from .ranking import write_recommendations_csv
 from .server import parse_bind, serve
@@ -84,11 +84,17 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _cmd_ingest(args) -> int:
-    view = load_view_matrix(args.events, _config_from_args(args), skip_bad_rows=args.skip_bad_rows)
-    with _output(args.output) as stream:
-        write_view_matrix_csv(view, stream)
-    return 0
+def _dump(compute, writer):
+    """A stage command: load the events once and write ``compute(view, config)``."""
+
+    def command(args) -> int:
+        config = _config_from_args(args)
+        table = compute(load_view_matrix(args.events, config, skip_bad_rows=args.skip_bad_rows), config)
+        with _output(args.output) as stream:
+            writer(table, stream)
+        return 0
+
+    return command
 
 
 def _cmd_similarity(args) -> int:
@@ -100,27 +106,6 @@ def _cmd_similarity(args) -> int:
     if args.ds_dump:
         with open(args.ds_dump, "w", newline="", encoding="utf-8") as stream:
             write_dual_similarity_csv(view, stream)
-    return 0
-
-
-def _dump_part(part: str, writer):
-    """A command that runs the pipeline and dumps one part of the artifact."""
-
-    def command(args) -> int:
-        artifact = run_pipeline(args.events, _config_from_args(args), skip_bad_rows=args.skip_bad_rows)
-        with _output(args.output) as stream:
-            writer(getattr(artifact, part), stream)
-        return 0
-
-    return command
-
-
-def _cmd_profiles(args) -> int:
-    config = _config_from_args(args)
-    view = load_view_matrix(args.events, config, skip_bad_rows=args.skip_bad_rows)
-    profiles = build_profiles(view, config.preference_threshold)
-    with _output(args.output) as stream:
-        write_profiles_csv(profiles, stream)
     return 0
 
 
@@ -222,15 +207,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    stage("ingest", "parse events and dump the viewing-percentage matrix", _cmd_ingest)
+    def part(name: str):
+        """A ``_dump`` compute for one part of the artifact that ``run`` builds."""
+        return lambda view, config: getattr(run_pipeline_from_view(view, config), name)
+
+    ingest = _dump(lambda view, config: view, write_view_matrix_csv)
+    stage("ingest", "parse events and dump the viewing-percentage matrix", ingest)
 
     p = stage("similarity", "dump the averaged film similarity matrix", _cmd_similarity)
     p.add_argument("--ds-dump", metavar="FILE", help="also dump the per-user DS tensor")
 
-    stage("graph", "dump the thresholded film graph edge list", _dump_part("graph", write_edges_csv))
-    stage("centrality", "dump per-film centrality measures", _dump_part("centrality", write_centrality_csv))
-    stage("cluster", "dump the film clustering", _dump_part("clustering", write_clusters_csv))
-    stage("profiles", "dump per-user preference labels", _cmd_profiles)
+    stage("graph", "dump the thresholded film graph edge list", _dump(part("graph"), write_edges_csv))
+    stage("centrality", "dump per-film centrality measures", _dump(part("centrality"), write_centrality_csv))
+    stage("cluster", "dump the film clustering", _dump(part("clustering"), write_clusters_csv))
+    profiles = _dump(lambda view, config: build_profiles(view, config.preference_threshold), write_profiles_csv)
+    stage("profiles", "dump per-user preference labels", profiles)
 
     p = stage("run", "run the full pipeline into an artifact file", _cmd_run)
     p.set_defaults(output="artifact.json")
@@ -276,10 +267,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=args.log_level, format=LOG_FORMAT)
     try:
         return args.func(args)
-    except FilmRecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FilmRecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

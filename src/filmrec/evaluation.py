@@ -19,6 +19,7 @@ import csv
 import logging
 import math
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Protocol, TextIO
 
@@ -36,6 +37,7 @@ logger = logging.getLogger(__name__)
 
 PREFERRED = "preferred"
 NON_PREFERRED = "non_preferred"
+EVENT_TOTAL_SECONDS = 3600.0
 
 
 # ---------------------------------------------------------------------------
@@ -484,34 +486,30 @@ def generate_synthetic(spec: SyntheticSpec) -> ViewMatrix:
     return ViewMatrix(entries, films=films, users=users)
 
 
-def view_to_events(view: ViewMatrix, total_seconds: float = 3600.0) -> list[ViewingEvent]:
-    """Expand a matrix back into one event per stored entry (for CSV dumps)."""
+def view_to_events(view: ViewMatrix) -> list[ViewingEvent]:
+    """Expand a matrix back into one event per stored entry (for CSV dumps),
+    each over a film of ``EVENT_TOTAL_SECONDS``."""
     events = []
     for film in view.films:
         views = view.film_views(film)
         for user in sorted(views, key=ident_sort_key):
-            events.append(ViewingEvent(film, user, views[user] * total_seconds, total_seconds))
+            events.append(ViewingEvent(film, user, views[user] * EVENT_TOTAL_SECONDS, EVENT_TOTAL_SECONDS))
     return events
 
 
 def comembership_f1(truth: Mapping[str, int], found: Mapping[str, int]) -> float:
-    """Pairwise co-membership F1 between two clusterings of the same items."""
-    items = sorted(set(truth) & set(found))
-    tp = fp = fn = 0
-    for i, a in enumerate(items):
-        for b in items[i + 1 :]:
-            same_truth = truth[a] == truth[b]
-            same_found = found[a] == found[b]
-            if same_truth and same_found:
-                tp += 1
-            elif same_found:
-                fp += 1
-            elif same_truth:
-                fn += 1
+    """Pairwise co-membership F1 between two clusterings of the same items,
+    each side's same-cluster pairs counted as C(n, 2) per cluster."""
+    items = set(truth) & set(found)
+
+    def pairs(labels) -> int:
+        return sum(n * (n - 1) // 2 for n in Counter(labels).values())
+
+    tp = pairs((truth[item], found[item]) for item in items)
     if tp == 0:
         return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
+    precision = tp / pairs(found[item] for item in items)
+    recall = tp / pairs(truth[item] for item in items)
     return 2.0 * precision * recall / (precision + recall)
 
 

@@ -54,7 +54,10 @@ class FilmGraph:
             raise DomainError(f"repeated node {repeated}")
         ends, weights = [], []
         for head, tail, weight in edges:
-            ends += order[head], order[tail]
+            try:
+                ends += order[head], order[tail]
+            except KeyError as exc:
+                raise DomainError(f"edge to unknown node {exc.args[0]}") from None
             weights.append(weight)
         owner = np.array(ends, dtype=np.intp)
         a, b, weight = owner[0::2], owner[1::2], np.array(weights, dtype=np.float64)

@@ -163,12 +163,13 @@ class ViewMatrix:
         self._by_user = by_user
 
     @classmethod
-    def _of(cls, by_user: dict[str, dict[str, float]], films: Iterable[str]) -> "ViewMatrix":
+    def _of(cls, by_user: dict[str, dict[str, float]], films: Iterable[str], users: Iterable[str]) -> "ViewMatrix":
         """A matrix over prepared per-user dicts (values in [0, 1], one
-        object per film id), taken as they are; its users are their keys."""
+        object per film id), taken as they are; ``users`` holds every key
+        of ``by_user`` and may add users without views."""
         view = object.__new__(cls)
         view._films = tuple(sorted(films, key=ident_sort_key))
-        view._users = tuple(sorted(by_user, key=ident_sort_key))
+        view._users = tuple(sorted(users, key=ident_sort_key))
         view._by_user = by_user
         return view
 
@@ -222,11 +223,8 @@ class ViewMatrix:
         """Sub-matrix of the given users, sharing their dicts; the film list
         is kept intact so both sides of a split share one film universe."""
         keep = set(users)
-        sub = object.__new__(ViewMatrix)
-        sub._films = self._films
-        sub._users = tuple(sorted(keep, key=ident_sort_key))
-        sub._by_user = {user: views for user, views in self._by_user.items() if user in keep}
-        return sub
+        kept = {user: views for user, views in self._by_user.items() if user in keep}
+        return ViewMatrix._of(kept, self._films, keep)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ViewMatrix):
@@ -288,7 +286,7 @@ def _fold(rows: Iterable[_Row], clamp: bool) -> ViewMatrix:
         raise DataError(f"watch time exceeds duration for film {film}, user {user}: {watch}s of {total}s")
     if not by_user:
         raise DataError("no viewing events")
-    return ViewMatrix._of(by_user, film_ids)
+    return ViewMatrix._of(by_user, film_ids, by_user)
 
 
 def write_view_matrix_csv(view: ViewMatrix, stream: TextIO) -> None:

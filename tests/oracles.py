@@ -8,8 +8,9 @@ averaged similarity by materializing the full per-user dual-similarity
 tensor before aggregating, or by the scalar films x films x users loop, the
 kNN and Naive Bayes baselines by their dict loops, ego scores by the
 per-pair loop over one single-source BFS per ego, ingest by the
-``csv.DictReader`` parser and the (film, user)-keyed fold, and preference
-profiles by sorting each user's view dict.
+``csv.DictReader`` parser and the (film, user)-keyed fold, preference
+profiles by sorting each user's view dict, and co-membership F1 by walking
+every item pair.
 """
 
 from __future__ import annotations
@@ -507,3 +508,24 @@ def dict_sorted_profiles(view: ViewMatrix, threshold: float) -> dict[str, Prefer
         )
         profiles[user] = PreferenceProfile(user, tuple(preferred), tuple(non_preferred))
     return profiles
+
+
+def pairwise_comembership_f1(truth: Mapping[str, int], found: Mapping[str, int]) -> float:
+    """Co-membership F1 by walking every pair of shared items."""
+    items = sorted(set(truth) & set(found))
+    tp = fp = fn = 0
+    for i, a in enumerate(items):
+        for b in items[i + 1 :]:
+            same_truth = truth[a] == truth[b]
+            same_found = found[a] == found[b]
+            if same_truth and same_found:
+                tp += 1
+            elif same_found:
+                fp += 1
+            elif same_truth:
+                fn += 1
+    if tp == 0:
+        return 0.0
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    return 2.0 * precision * recall / (precision + recall)

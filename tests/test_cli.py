@@ -1,7 +1,9 @@
 import csv
+import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -10,9 +12,19 @@ from pathlib import Path
 import pytest
 
 import filmrec
-from filmrec import EgoGraphPolicy, PipelineArtifact, PipelineConfig
+from filmrec import CentralityTable, EgoGraphPolicy, PipelineArtifact, PipelineConfig, build_graph, louvain
 from filmrec.cli import _config_from_args, build_parser, main
-from filmrec.similarity import AveragingPolicy
+from filmrec.community import write_clusters_csv
+from filmrec.graph import write_centrality_csv, write_edges_csv
+from filmrec.ingest import write_view_matrix_csv
+from filmrec.pipeline import load_view_matrix
+from filmrec.profiles import build_profiles, write_profiles_csv
+from filmrec.similarity import (
+    AveragingPolicy,
+    average_similarity,
+    write_dual_similarity_csv,
+    write_similarity_csv,
+)
 
 
 @pytest.fixture()
@@ -75,6 +87,42 @@ def test_stage_dumps(events_file, tmp_path):
         out = tmp_path / f"{command}.csv"
         assert main([command, str(events_file), "-o", str(out)]) == 0
         assert read_csv(out)[0] == header
+
+
+def test_every_stage_dump_is_the_library_writers_bytes(events_file, tmp_path):
+    """Each stage command at non-default thresholds writes exactly what the
+    library's writer gives in process for the same config."""
+    flags = ["--edge-threshold", "0.3", "--preference-threshold", "0.8", "--averaging-policy", "all_users"]
+    config = PipelineConfig(
+        edge_threshold=0.3, preference_threshold=0.8, averaging_policy=AveragingPolicy.ALL_USERS
+    )
+    view = load_view_matrix(events_file, config)
+    sim = average_similarity(view, config.averaging_policy)
+    graph = build_graph(sim, config.edge_threshold)
+    assert 0 < graph.edge_count() < len(sim.films) * (len(sim.films) - 1) // 2
+    profiles = build_profiles(view, config.preference_threshold)
+    assert profiles != build_profiles(view)
+
+    def rendered(writer, value) -> bytes:
+        stream = io.StringIO()
+        writer(value, stream)
+        return stream.getvalue().encode("utf-8")
+
+    expected = {
+        "ingest": rendered(write_view_matrix_csv, view),
+        "similarity": rendered(write_similarity_csv, sim),
+        "graph": rendered(write_edges_csv, graph),
+        "centrality": rendered(write_centrality_csv, CentralityTable.compute(graph)),
+        "cluster": rendered(write_clusters_csv, louvain(graph)),
+        "profiles": rendered(write_profiles_csv, profiles),
+    }
+    ds = tmp_path / "ds.csv"
+    for command, content in expected.items():
+        out = tmp_path / f"{command}.csv"
+        extra = ["--ds-dump", str(ds)] if command == "similarity" else []
+        assert main([command, str(events_file), "-o", str(out), *flags, *extra]) == 0
+        assert out.read_bytes() == content, command
+    assert ds.read_bytes() == rendered(write_dual_similarity_csv, view)
 
 
 def test_run_and_recommend(events_file, tmp_path, capsys):
@@ -193,6 +241,28 @@ def test_byte_order_marked_events_and_config_files_are_read(events_file, tmp_pat
     assert main(["ingest", "--config", str(conf), str(bom_events), "-o", str(bom_out)]) == 0
     assert main(["ingest", str(events_file), "-o", str(plain_out)]) == 0
     assert read_csv(bom_out) == read_csv(plain_out)
+
+
+def readme_cli_lines() -> list[str]:
+    """The ``filmrec …`` lines of the README's fenced CLI block, with
+    continuation lines joined and optional-part brackets dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```$", text, flags=re.M | re.S)
+    block = next(block for block in blocks if block.startswith("filmrec "))
+    joined = re.sub(r"\\\n\s*", "", block).replace("[", "").replace("]", "")
+    return joined.splitlines()
+
+
+def test_every_readme_cli_line_parses():
+    lines = readme_cli_lines()
+    assert {line.split()[1] for line in lines} >= {
+        "synth", "ingest", "similarity", "graph", "centrality", "cluster", "profiles", "run", "recommend",
+        "evaluate", "serve",
+    }  # fmt: skip
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "filmrec"
+        build_parser().parse_args(argv)
 
 
 def test_usage_error_exits_one(capsys):

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import filmrec.evaluation
 from filmrec import (
@@ -32,7 +34,7 @@ from filmrec.evaluation import (
 )
 from filmrec.ingest import ident_sort_key
 
-from oracles import monte_carlo_random_judge_accuracy, per_pair_ego_scores
+from oracles import monte_carlo_random_judge_accuracy, pairwise_comembership_f1, per_pair_ego_scores
 
 
 def synthetic_view(**overrides) -> ViewMatrix:
@@ -417,6 +419,23 @@ class TestSynthetic:
             assert rebuilt.pct(film, user) == pytest.approx(pct, abs=1e-12)
 
 
+@st.composite
+def clusterings(draw):
+    """Truth and found maps over partly overlapping item sets, with few
+    labels so that clusters share items; some draws make one side all
+    singletons, or put each side's items in one cluster."""
+    items = [f"i{k}" for k in range(draw(st.integers(0, 40)))]
+    labels = st.integers(0, draw(st.integers(0, 6)))
+    truth = {item: draw(labels) for item in items if draw(st.integers(0, 5))}
+    found = {item: draw(labels) for item in items if draw(st.integers(0, 5))}
+    shape = draw(st.sampled_from(["drawn", "drawn", "singletons", "one_cluster"]))
+    if shape == "singletons":
+        found = {item: k for k, item in enumerate(found)}
+    elif shape == "one_cluster":
+        truth, found = dict.fromkeys(truth, 3), dict.fromkeys(found, 7)
+    return truth, found
+
+
 class TestComembershipF1:
     def test_identical_clusterings(self):
         truth = {"a": 0, "b": 0, "c": 1}
@@ -437,3 +456,11 @@ class TestComembershipF1:
         found = {"a": 0, "b": 0, "c": 1}
         # tp=1, fn=2, fp=0 -> precision 1, recall 1/3
         assert comembership_f1(truth, found) == pytest.approx(0.5, abs=1e-12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(clusterings())
+    @example(({"a": 0, "b": 0, "c": 1, "x": 0}, {"a": 0, "b": 1, "c": 2, "y": 0}))  # all singletons: tp = 0
+    @example(({"a": 1, "b": 1, "c": 1, "x": 2}, {"a": 4, "b": 4, "c": 4, "y": 4}))  # one shared cluster
+    def test_counted_pairs_equal_the_pair_walk(self, maps):
+        for truth, found in (maps, maps[::-1]):
+            assert comembership_f1(truth, found).hex() == pairwise_comembership_f1(truth, found).hex()

@@ -116,6 +116,12 @@ def test_repeated_node_is_a_domain_error(nodes, repeated):
         FilmGraph(nodes, [("a", "b", 0.5)] if "b" in nodes else [])
 
 
+@pytest.mark.parametrize("edge, unknown", [(("a", "b", 0.5), "b"), (("c", "a", 0.5), "c"), (("a", "d", 2.0), "d")])
+def test_edge_to_an_unknown_node_is_a_domain_error(edge, unknown):
+    with pytest.raises(DomainError, match=f"edge to unknown node {unknown}$"):
+        FilmGraph(["a", "e"], [("a", "e", 0.5), edge])
+
+
 class TestDegree:
     def test_star_center_is_maximal(self):
         assert degree_centrality(star(), "c") == 1.0
