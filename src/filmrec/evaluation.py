@@ -30,8 +30,9 @@ from .config import PipelineConfig, validate_config
 from .errors import DomainError
 from .graph import CentralityTable, FilmGraph, build_graph
 from .ingest import ViewMatrix, ViewingEvent, ident_sort_key
-from .ranking import row_sums, score_candidates
-from .similarity import average_similarity
+from .pipeline import _warn_if_degenerate
+from .ranking import column_sums, score_candidates
+from .similarity import _pack_users, average_similarity
 
 logger = logging.getLogger(__name__)
 
@@ -109,11 +110,21 @@ def make_eval_case(user_id: str, views: Mapping[str, float]) -> EvalCase | None:
     four films."""
     if len(views) < 4:
         return None
-    ordered = sorted(views, key=lambda film: (-views[film], ident_sort_key(film)))
-    held_preferred = (ordered[0], ordered[1])
-    held_non_preferred = (ordered[-1], ordered[-2])
-    held = {*held_preferred, *held_non_preferred}
-    context = {film: pct for film, pct in views.items() if film not in held}
+    # Only films at or beyond the second-highest and second-lowest pct can
+    # be held out, so only those are sorted by (-pct, film id).
+    pcts = sorted(views.values())
+    low, high = pcts[1], pcts[-2]
+
+    def rank(film: str) -> tuple:
+        return -views[film], ident_sort_key(film)
+
+    top = sorted([film for film, pct in views.items() if pct >= high], key=rank)
+    bottom = sorted([film for film, pct in views.items() if pct <= low], key=rank)
+    held_preferred = (top[0], top[1])
+    held_non_preferred = (bottom[-1], bottom[-2])
+    context = dict(views)
+    for film in (*held_preferred, *held_non_preferred):
+        del context[film]
     return EvalCase(user_id, held_preferred, held_non_preferred, context)
 
 
@@ -239,6 +250,7 @@ class EgoGraphPolicy(CaseBatchPolicy):
         self.similarity = average_similarity(train, self.config.averaging_policy)
         self.graph = build_graph(self.similarity, self.config.edge_threshold)
         self.centrality = CentralityTable.compute(self.graph)
+        _warn_if_degenerate(self.graph, self.centrality, self.config.edge_threshold)
         self.clustering = louvain(self.graph)
 
     def _score_films(self, case: EvalCase, films: list[str]) -> list[float]:
@@ -269,36 +281,39 @@ class TrainingArrays:
     """The training matrix as arrays, built once per fit, from which both
     baselines predict.
 
-    ``film_index`` maps a film to its column; one extra all-zero column
-    stands for every film the matrix lacks. Rows follow ``train.users``.
-    ``pct``, ``watched`` and ``liked`` (pct > 0.5) are dense, the first two
-    copied from the matrix's cached ``dense`` arrays; ``order`` and
-    ``values`` hold each user's films and percentages in that user's own
-    dict order, padded with the zero column, so a row sum can add in the
-    order the dict loops add.
+    ``film_index`` maps a film to its row; one extra all-zero row stands for
+    every film the matrix lacks. Columns follow ``train.users``, and every
+    float array lays the terms of one user's sum down axis 0, so
+    ``column_sums`` adds them in order. ``pct`` is films x users, copied
+    from the matrix's cached ``dense`` array; ``order`` and ``values`` hold
+    each user's films and percentages by position in that user's own dict
+    order, padded with the zero row, so a column sum adds in the order the
+    dict loops add. ``watched``, ``liked`` (pct > 0.5) and ``disliked``
+    (watched, pct <= 0.5) pack each film's users into 64-bit words, from
+    which Naive Bayes counts with popcounts.
     """
 
     def __init__(self, train: ViewMatrix):
         self.film_index = {film: i for i, film in enumerate(train.films)}
         self.absent = len(self.film_index)
-        self.user_keys = [ident_sort_key(user) for user in train.users]
         self.views = [train.user_views(user) for user in train.users]
         self.lengths = np.array([len(views) for views in self.views])
-        # one trailing zero at least, so no row sum runs over an empty row
+        # one trailing zero at least, so no column sum runs over an empty column
         width = int(self.lengths.max(initial=0)) + 1
-        self.order = np.full((len(self.views), width), self.absent, dtype=np.intp)
-        self.values = np.zeros((len(self.views), width))
-        for row, views in enumerate(self.views):
-            self.order[row, : len(views)] = [self.film_index[film] for film in views]
-            self.values[row, : len(views)] = list(views.values())
+        self.order = np.full((width, len(self.views)), self.absent, dtype=np.intp)
+        self.values = np.zeros((width, len(self.views)))
+        for col, views in enumerate(self.views):
+            self.order[: len(views), col] = [self.film_index[film] for film in views]
+            self.values[: len(views), col] = list(views.values())
         dense = train.dense
-        self.pct = np.zeros((len(self.views), self.absent + 1))
-        self.pct[:, : self.absent] = dense.pct
-        # int32, not bool: Naive Bayes counts with integer products
-        self.watched = np.zeros(self.pct.shape, dtype=np.int32)
-        self.watched[:, : self.absent] = dense.watched
-        self.liked = self.watched * (self.pct > 0.5)
-        self.norms = np.sqrt(row_sums(self.values * self.values))
+        self.pct = np.zeros((self.absent + 1, len(self.views)))
+        self.pct[: self.absent] = dense.pct.T
+        liked = dense.watched & (dense.pct > 0.5)
+        self.watched, self.liked, self.disliked = (
+            np.vstack([words, np.zeros((1, words.shape[1]), dtype=np.uint64)])
+            for words in map(_pack_users, (dense.watched, liked, dense.watched & ~liked))
+        )
+        self.norms = np.sqrt(column_sums(self.values * self.values))
 
     def columns(self, films: Iterable[str]) -> list[int]:
         return [self.film_index.get(film, self.absent) for film in films]
@@ -309,13 +324,13 @@ class TrainingArrays:
         in its insertion order: both orders are summed, one is kept."""
         cols = self.columns(context)
         vals = np.array([*context.values(), 0.0])
-        by_context = row_sums(self.pct[:, [*cols, self.absent]] * vals)
+        by_context = column_sums(self.pct[[*cols, self.absent]] * vals[:, None])
         dense = np.zeros(self.absent + 1)
         dense[cols] = vals[:-1]
         dense[self.absent] = 0.0  # the training users' padding
-        by_train = row_sums(self.values * dense[self.order])
+        by_train = column_sums(self.values * dense[self.order])
         dot = np.where(self.lengths < len(context), by_train, by_context)
-        norm = np.sqrt(row_sums(vals * vals))
+        norm = np.sqrt(column_sums(vals * vals))
         with np.errstate(divide="ignore", invalid="ignore"):
             cosine = dot / (norm * self.norms)
         return np.where((dot == 0.0) | (norm == 0.0) | (self.norms == 0.0), 0.0, cosine)
@@ -328,10 +343,11 @@ def knn_predict(
     the given viewing vector (cosine, absent = 0): preferred when those
     neighbors' similarity-weighted mean percentage on the film exceeds 0.5;
     films none of them watched come back non-preferred. Cosine ties go to
-    the lower user id."""
-    cosines = arrays.cosines(user_views).tolist()
-    similarities = sorted(zip((-c for c in cosines), arrays.user_keys, range(len(cosines))))
-    neighbors = [(arrays.views[row], -neg_sim) for neg_sim, _, row in similarities[:k]]
+    the lower user id: the sort is stable, and the training users are in
+    ``ident_sort_key`` order."""
+    cosines = arrays.cosines(user_views)
+    rows = np.argsort(-cosines, kind="stable")[:k].tolist()
+    neighbors = [(arrays.views[row], sim) for row, sim in zip(rows, cosines[rows].tolist())]
     predictions: dict[str, bool] = {}
     for film in films:
         weight_total = 0.0
@@ -346,6 +362,24 @@ def knn_predict(
     return predictions
 
 
+_log_odds = np.zeros((0, 0))
+
+
+def log_odds_table(size: int) -> np.ndarray:
+    """A table of at least size x size whose cell [m, s] is
+    ``math.log((m + 1) / (s + 2))``: the log of the add-one smoothed rate
+    of m matches in s trials. One table serves the process, and it is rebuilt
+    larger when a larger one is asked for. Each cell comes from
+    ``math.log``, as ``np.log`` differs from it in the last bit on some
+    inputs."""
+    global _log_odds
+    if len(_log_odds) < size:
+        n = max(size, 2 * len(_log_odds))
+        cells = (math.log((m + 1) / (s + 2)) for m in range(n) for s in range(n))
+        _log_odds = np.fromiter(cells, dtype=np.float64, count=n * n).reshape(n, n)
+    return _log_odds
+
+
 def naive_bayes_predict(
     arrays: TrainingArrays, user_views: Mapping[str, float], films: Iterable[str]
 ) -> dict[str, bool]:
@@ -353,38 +387,34 @@ def naive_bayes_predict(
     add-one smoothing. Features are the given user's other watched films'
     binary labels; exact posterior ties resolve to non-preferred.
 
-    Each class's match counts come from exact integer products of its
-    watchers of a film with the features' watched and liked columns; the
-    log terms are added one by one in feature order."""
+    Each class of a film's watchers (liked / not liked) and each feature's
+    watchers are packed user bits, so every count is an exact popcount of
+    their AND. The log terms are read from ``log_odds_table`` and added in
+    feature order with ``column_sums``. The film's own feature adds 0.0,
+    which changes no partial sum, as each is negative."""
     features = sorted(user_views, key=ident_sort_key)
-    liked_feature = np.array([user_views[feature] > 0.5 for feature in features], dtype=bool)
     films = list(films)
     targets = arrays.columns(films)
     feature_cols = arrays.columns(features)
-    seen_f = arrays.watched[:, feature_cols]
-    liked_f = arrays.liked[:, feature_cols]
-
-    def odds(watchers: np.ndarray) -> tuple[list[int], list[list[float]]]:
-        # watchers: users x films, 1 where the user is in this class for the film
-        seen = watchers.T @ seen_f
-        liked = watchers.T @ liked_f
-        match = np.where(liked_feature, liked, seen - liked)
-        # the counts are small integers, so numpy's division is Python's int / int
-        return watchers.sum(axis=0).tolist(), ((match + 1) / (seen + 2)).tolist()
-
-    pref = arrays.liked[:, targets]
-    n_pref, odds_pref = odds(pref)
-    n_non, odds_non = odds(arrays.watched[:, targets] - pref)
-    predictions: dict[str, bool] = {}
-    for film, n_p, n_n, row_pref, row_non in zip(films, n_pref, n_non, odds_pref, odds_non):
-        log_pref = math.log((n_p + 1) / (n_p + n_n + 2))
-        log_non = math.log((n_n + 1) / (n_p + n_n + 2))
-        for feature, odds_p, odds_n in zip(features, row_pref, row_non):
-            if feature != film:
-                log_pref += math.log(odds_p)
-                log_non += math.log(odds_n)
-        predictions[film] = log_pref > log_non
-    return predictions
+    liked_feature = np.array([user_views[feature] > 0.5 for feature in features], dtype=bool)
+    match_bits = np.where(liked_feature[:, None], arrays.liked[feature_cols], arrays.disliked[feature_cols])
+    # one column per (class, film): the preferred class of every film, then the other
+    classes = np.vstack([arrays.liked[targets], arrays.disliked[targets]])
+    in_class = np.bitwise_count(classes).sum(axis=1)
+    seen = np.bitwise_count(arrays.watched[feature_cols][:, None] & classes).sum(axis=2)
+    match = np.bitwise_count(match_bits[:, None] & classes).sum(axis=2)
+    table = log_odds_table(len(arrays.views) + 1)
+    terms = np.empty((1 + len(features), 2 * len(films)))
+    watchers = in_class[: len(films)] + in_class[len(films) :]
+    terms[0] = table[in_class, np.tile(watchers, 2)]
+    terms[1:] = table[match, seen]
+    own = {feature: row for row, feature in enumerate(features, start=1)}
+    for col, film in enumerate(films):
+        if film in own:
+            terms[own[film], [col, col + len(films)]] = 0.0
+    log_posteriors = column_sums(terms).tolist()
+    log_pref, log_non = log_posteriors[: len(films)], log_posteriors[len(films) :]
+    return {film: pref > non for film, pref, non in zip(films, log_pref, log_non)}
 
 
 class BaselinePolicy(CaseBatchPolicy):

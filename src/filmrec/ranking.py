@@ -11,10 +11,11 @@ in its own evidence list contributes its full centrality), and an
 unreachable ego contributes nothing.
 
 ``score_candidates`` is the one scorer, for serving and offline evaluation
-alike. It scores a whole candidate list from one slice of the graph's hop
-matrix (``FilmGraph.paths().hops``), which one all-sources path kernel
-computes once per graph, so no request runs a BFS. ``ego_centrality`` keeps
-its own BFS as the independent single-ego reference.
+alike. It scores a whole candidate list from one egos x films slice of the
+graph's hop matrix (``FilmGraph.paths().hops``), which one all-sources path
+kernel computes once per graph, so no request runs a BFS, and adds each
+side's terms down the ego axis with ``column_sums``. ``ego_centrality``
+keeps its own BFS as the independent single-ego reference.
 """
 
 from __future__ import annotations
@@ -85,19 +86,28 @@ def score_candidates(
     nonprefs = [g.index(ego) for ego in non_preferred if ego in g]
     if not prefs and not nonprefs:
         return [0] * len(films)
-    hops = g.paths().hops[np.ix_([*prefs, *nonprefs], [g.index(film) for film in films])].T
-    values = np.array([ac.ac(film) for film in films])[:, None]
+    hops = g.paths().hops[np.ix_([*prefs, *nonprefs], [g.index(film) for film in films])]
+    values = np.array([ac.ac(film) for film in films])
     terms = np.where(hops < 0, 0.0, values / np.maximum(hops, 1))
     # A side without egos adds up to 0.0. On the other side, sum's leading 0
     # would change nothing, as every term is >= +0.0.
-    sides = np.hsplit(terms, [len(prefs)])
-    pref_sums, nonpref_sums = (row_sums(side) if side.shape[1] else 0.0 for side in sides)
+    sides = (terms[: len(prefs)], terms[len(prefs) :])
+    pref_sums, nonpref_sums = (column_sums(side) if len(side) else 0.0 for side in sides)
     return (pref_sums - nonpref_sums).tolist()
 
 
-def row_sums(products: np.ndarray) -> np.ndarray:
-    """Sum along the last axis strictly left to right, as ``sum`` does."""
-    return np.cumsum(products, axis=-1)[..., -1]
+def column_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum along axis 0 strictly top to bottom, as ``sum`` adds left to right.
+
+    numpy reduces axis 0 of a C-contiguous array with more than one column
+    one row at a time, so each column is added in order. It reduces a run
+    of values that are adjacent in memory pairwise instead: a transposed
+    array is copied to C order first, and a 1-D array or a single column
+    goes through ``cumsum``."""
+    terms = np.ascontiguousarray(terms)
+    if terms.ndim == 1 or terms.shape[1] == 1:
+        return np.cumsum(terms, axis=0)[-1]
+    return terms.sum(axis=0)
 
 
 def candidate_set(

@@ -1,3 +1,5 @@
+import logging
+import math
 import random
 
 import numpy as np
@@ -28,12 +30,14 @@ from filmrec.evaluation import (
     EvalCase,
     TrainingArrays,
     knn_predict,
+    log_odds_table,
     make_eval_case,
     naive_bayes_predict,
     view_to_events,
 )
 from filmrec.ingest import ident_sort_key
 
+import oracles
 from oracles import monte_carlo_random_judge_accuracy, pairwise_comembership_f1, per_pair_ego_scores
 
 
@@ -130,6 +134,30 @@ class TestEvalCase:
         assert case.held_preferred == ("1", "2")
         assert case.held_non_preferred == ("4", "3")
         assert len({*case.held_preferred, *case.held_non_preferred}) == 4
+
+
+@st.composite
+def held_out_views(draw):
+    """A user's views with ties at both ends likely: stored 0.0 and -0.0,
+    repeated values, numeric and text film ids, in drawn dict order."""
+    ids = draw(st.lists(st.integers(0, 40), min_size=4, max_size=14, unique=True))
+    films = [str(i) if draw(st.booleans()) else f"f{i}" for i in ids]
+    pcts = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(0.0, 1.0))
+    return {film: draw(pcts) for film in films}
+
+
+@settings(max_examples=300, deadline=None)
+@given(held_out_views())
+@example({"3": -0.0, "f1": 0.0, "2": 1.0, "f0": 1.0})
+@example({"10": 0.5, "9": 0.5, "f2": 0.5, "1": 0.5, "f1": 0.5})
+def test_held_out_films_equal_the_full_sort(views):
+    ordered = sorted(views, key=lambda film: (-views[film], ident_sort_key(film)))
+    case = make_eval_case("u", views)
+    assert case.held_preferred == (ordered[0], ordered[1])
+    assert case.held_non_preferred == (ordered[-1], ordered[-2])
+    held = {*ordered[:2], *ordered[-2:]}
+    context = [(film, pct.hex()) for film, pct in views.items() if film not in held]
+    assert [(film, pct.hex()) for film, pct in case.context.items()] == context
 
 
 class _OraclePolicy:
@@ -257,6 +285,15 @@ class TestEvaluateMethod:
                 assert type(score) is type(expected) and float(score).hex() == float(expected).hex()
         assert policy.score_film(cases[-1], cases[-1].held_preferred[0]) == 0
 
+    def test_ego_policy_warns_about_an_edgeless_fit(self, caplog):
+        train, test = split_users(synthetic_view(), 40, 0.7, 0)
+        with caplog.at_level(logging.WARNING, logger="filmrec.pipeline"):
+            report = evaluate_method(EgoGraphPolicy(edge_threshold=1.0), train, test)
+        assert [r.getMessage() for r in caplog.records] == [
+            "similarity graph is edgeless: 0 edges at edge_threshold 1.0"
+        ]
+        assert report.judgments and {j.score for j in report.judgments} == {0}
+
     @pytest.mark.parametrize("key, value", [("preference_threshold", 1.5), ("edge_threshold", -0.1)])
     def test_ego_policy_rejects_an_out_of_range_config_when_constructed(self, key, value):
         with pytest.raises(DomainError, match=key):
@@ -322,6 +359,47 @@ class TestNaiveBayesBaseline:
     def test_priors_follow_watcher_majority(self):
         train = ViewMatrix({("g", "a"): 0.1, ("g", "b"): 0.2, ("g", "c"): 0.3})
         assert naive_bayes_predict(TrainingArrays(train), {}, ["g"]) == {"g": False}
+
+
+class TestBaselineKernels:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_single_training_user_matches_the_oracles(self, seed):
+        # With one training user every sum is a single column, which numpy
+        # would add pairwise; at 12 or more terms that order differs from sum's.
+        rng = random.Random(seed)
+        films = [str(i) for i in range(1, 41)]
+        watched = rng.sample(films, rng.randint(12, 30))
+        train = ViewMatrix({(film, "u1"): rng.random() for film in watched}, films=films, users=["u1"])
+        context = {film: rng.random() for film in rng.sample([*films, "unseen"], rng.randint(12, 30))}
+        arrays = TrainingArrays(train)
+        cosines = [value.hex() for value in arrays.cosines(context).tolist()]
+        assert cosines == [oracles._cosine(context, train.user_views("u1")).hex()]
+        targets = [*rng.sample(films, 3), "unseen", "never-seen", *list(context)[:3]]
+        for k in (1, 2):
+            assert knn_predict(arrays, context, targets, k) == oracles.knn_baseline(train, context, targets, k)
+        assert naive_bayes_predict(arrays, context, targets) == oracles.naive_bayes_baseline(train, context, targets)
+
+    def test_knn_ties_go_to_the_lower_user_id(self):
+        # The odd users' cosines tie, ahead of the even users'. Each user
+        # alone watched their own film, so the predictions name the k nearest.
+        entries = {}
+        for user in range(1, 41):
+            for film in ("c", f"t{user}", *(() if user % 2 else ("x",))):
+                entries[(film, str(user))] = 1.0
+        train = ViewMatrix(entries)
+        arrays = TrainingArrays(train)
+        assert len(set(arrays.cosines({"c": 1.0}).tolist())) == 2
+        targets = [f"t{user}" for user in range(1, 41)]
+        for k in range(1, 41):
+            expected = oracles.knn_baseline(train, {"c": 1.0}, targets, k)
+            assert knn_predict(arrays, {"c": 1.0}, targets, k) == expected
+
+    def test_log_odds_table_cells_equal_math_log_after_growing(self):
+        first = len(log_odds_table(250))
+        table = log_odds_table(first + 1)
+        assert len(table) > first
+        cells = [[math.log((m + 1) / (s + 2)).hex() for s in range(len(table))] for m in range(len(table))]
+        assert [[value.hex() for value in row] for row in table.tolist()] == cells
 
 
 class TestBaselinePolicy:

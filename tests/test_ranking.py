@@ -2,6 +2,7 @@ import functools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from filmrec import (
@@ -27,7 +28,7 @@ from filmrec import (
     run_pipeline_from_view,
     split_users,
 )
-from filmrec.ranking import UNREACHABLE, score_candidates
+from filmrec.ranking import UNREACHABLE, column_sums, score_candidates
 from filmrec.similarity import AveragingPolicy
 
 from oracles import per_pair_ego_scores, random_graph, synthetic_similarity
@@ -384,3 +385,29 @@ class TestColdStart:
     def test_k_must_be_positive(self):
         with pytest.raises(DomainError):
             rank_cold_start(self.TABLE, 0)
+
+
+def adversarial_columns(k: int, n: int, seed: int) -> list[list[float]]:
+    """n columns of k values: 1.0, 1e100, 1.0, -1e100 first, which an
+    in-order sum cancels to 0.0 and a pairwise one does not, then values
+    spread over 24 orders of magnitude, whose sum depends on the order."""
+    rng = random.Random(seed)
+    head = [1.0, 1e100, 1.0, -1e100]
+    return [
+        (head + [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12) for _ in range(k)])[:k] for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("k, n", [(9, 1), (200, 1), (1, 6), (9, 6), (200, 6)])
+@pytest.mark.parametrize("layout", ["rows", "transposed"])
+def test_column_sums_add_each_column_in_order(k, n, layout):
+    columns = adversarial_columns(k, n, seed=k * n)
+    terms = np.array([list(row) for row in zip(*columns)]) if layout == "rows" else np.array(columns).T
+    assert terms.shape == (k, n)
+    assert [value.hex() for value in column_sums(terms).tolist()] == [sum(column).hex() for column in columns]
+
+
+@pytest.mark.parametrize("k", [9, 200])
+def test_column_sums_add_a_vector_in_order(k):
+    (vector,) = adversarial_columns(k, 1, seed=k)
+    assert float(column_sums(np.array(vector))).hex() == sum(vector).hex()
