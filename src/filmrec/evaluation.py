@@ -128,6 +128,11 @@ def make_eval_case(user_id: str, views: Mapping[str, float]) -> EvalCase | None:
     return EvalCase(user_id, held_preferred, held_non_preferred, context)
 
 
+def eval_cases(test: ViewMatrix) -> dict[str, EvalCase | None]:
+    """``make_eval_case`` of every user of ``test``, by user."""
+    return {user: make_eval_case(user, test.user_views(user)) for user in test.users}
+
+
 @dataclass(frozen=True)
 class CaseJudgment:
     user_id: str
@@ -179,12 +184,16 @@ def evaluate_method(
 ) -> EvalReport:
     """Fit the policy on training users only and judge it on every test
     user's held-out extremes. Test users with fewer than four watched films
-    are skipped (with a warning) and listed in the report."""
+    are skipped (with a warning on every call) and listed in the report.
+
+    The cases come from ``test.derived(eval_cases)``, so every policy
+    evaluated on one test matrix judges the same case objects, built once."""
     policy.fit(train)
+    cases = test.derived(eval_cases)
     judgments: list[CaseJudgment] = []
     skipped: list[str] = []
     for user in test.users:
-        case = make_eval_case(user, test.user_views(user))
+        case = cases[user]
         if case is None:
             logger.warning("skipping test user %s: fewer than 4 watched films", user)
             skipped.append(user)
@@ -264,50 +273,61 @@ class EgoGraphPolicy(CaseBatchPolicy):
 
 class RandomScorePolicy:
     """Symmetric random scorer: -1, 0, or +1 with equal probability, so the
-    expected sign-agreement accuracy is 1/3."""
+    expected sign-agreement accuracy is 1/3. ``fit`` re-seeds, so every
+    evaluation with the policy draws the same scores."""
 
     def __init__(self, seed: int):
         self.name = "random"
-        self._rng = random.Random(seed)
+        self._seed = seed
 
     def fit(self, train: ViewMatrix) -> None:
-        pass
+        self._rng = random.Random(self._seed)
 
     def score_film(self, case: EvalCase, film: str) -> float:
         return self._rng.choice((-1.0, 0.0, 1.0))
 
 
 class TrainingArrays:
-    """The training matrix as arrays, built once per fit, from which both
-    baselines predict.
+    """The training matrix as arrays, from which both baselines predict.
+    A fit takes them from ``train.derived(TrainingArrays)``, so they are
+    built once per training matrix and kept with it, whichever policies
+    and how many evaluations use it.
 
     ``film_index`` maps a film to its row; one extra all-zero row stands for
-    every film the matrix lacks. Columns follow ``train.users``, and every
-    float array lays the terms of one user's sum down axis 0, so
-    ``column_sums`` adds them in order. ``pct`` is films x users, copied
-    from the matrix's cached ``dense`` array; ``order`` and ``values`` hold
-    each user's films and percentages by position in that user's own dict
-    order, padded with the zero row, so a column sum adds in the order the
-    dict loops add. ``watched``, ``liked`` (pct > 0.5) and ``disliked``
-    (watched, pct <= 0.5) pack each film's users into 64-bit words, from
-    which Naive Bayes counts with popcounts.
+    every film the matrix lacks. ``views`` follows ``train.users``. The
+    cosine arrays ``pct``, ``order``, ``values``, ``lengths`` and ``norms``
+    take the users fewest films first instead (a stable sort), so the
+    users with fewer films than a context are one leading run of columns;
+    ``column`` is the column of each user of ``train.users``. Every float
+    array lays the terms of one user's sum down axis 0, so ``column_sums``
+    adds them in order. ``pct`` is films x users, copied from the matrix's
+    cached ``dense`` array; ``order`` and ``values`` hold each user's films
+    and percentages by position in that user's own dict order, padded with
+    the zero row, so a column sum adds in the order the dict loops add.
+    ``watched``, ``liked`` (pct > 0.5) and ``disliked`` (watched, pct <=
+    0.5) pack each film's users, in ``train.users`` order, into 64-bit
+    words, from which Naive Bayes counts with popcounts.
     """
 
     def __init__(self, train: ViewMatrix):
         self.film_index = {film: i for i, film in enumerate(train.films)}
         self.absent = len(self.film_index)
         self.views = [train.user_views(user) for user in train.users]
-        self.lengths = np.array([len(views) for views in self.views])
+        lengths = np.array([len(views) for views in self.views])
+        by_length = np.argsort(lengths, kind="stable")
+        self.lengths = lengths[by_length]
+        self.column = np.argsort(by_length)
         # one trailing zero at least, so no column sum runs over an empty column
         width = int(self.lengths.max(initial=0)) + 1
         self.order = np.full((width, len(self.views)), self.absent, dtype=np.intp)
         self.values = np.zeros((width, len(self.views)))
-        for col, views in enumerate(self.views):
+        for col, row in enumerate(by_length.tolist()):
+            views = self.views[row]
             self.order[: len(views), col] = [self.film_index[film] for film in views]
             self.values[: len(views), col] = list(views.values())
         dense = train.dense
         self.pct = np.zeros((self.absent + 1, len(self.views)))
-        self.pct[: self.absent] = dense.pct.T
+        self.pct[: self.absent] = dense.pct.T[:, by_length]
         liked = dense.watched & (dense.pct > 0.5)
         self.watched, self.liked, self.disliked = (
             np.vstack([words, np.zeros((1, words.shape[1]), dtype=np.uint64)])
@@ -321,19 +341,28 @@ class TrainingArrays:
     def cosines(self, context: Mapping[str, float]) -> np.ndarray:
         """Every training user's cosine with ``context`` (absent = 0),
         bit-identical to a dict loop that sums the smaller dict's products
-        in its insertion order: both orders are summed, one is kept."""
+        in its insertion order. Each user's dot product is summed in that
+        one order: down ``values`` in the user's own order for the leading
+        run of users with fewer films than the context, down ``pct`` in
+        context order for the rest. ``column_sums`` adds each column alone,
+        so which columns sit beside it changes no bit."""
         cols = self.columns(context)
         vals = np.array([*context.values(), 0.0])
-        by_context = column_sums(self.pct[[*cols, self.absent]] * vals[:, None])
         dense = np.zeros(self.absent + 1)
         dense[cols] = vals[:-1]
         dense[self.absent] = 0.0  # the training users' padding
-        by_train = column_sums(self.values * dense[self.order])
-        dot = np.where(self.lengths < len(context), by_train, by_context)
+        short = int(np.searchsorted(self.lengths, len(context)))
+        # A short user's films all lie in the first len(context) rows. The
+        # padding rows below would only add +0.0, which can turn a -0.0 dot
+        # into 0.0, and a zero dot gives a 0.0 cosine either way.
+        rows = len(context)
+        by_train = column_sums(self.values[:rows, :short] * dense[self.order[:rows, :short]])
+        by_context = column_sums(self.pct[[*cols, self.absent], short:] * vals[:, None])
+        dot = np.concatenate([by_train, by_context])
         norm = np.sqrt(column_sums(vals * vals))
         with np.errstate(divide="ignore", invalid="ignore"):
             cosine = dot / (norm * self.norms)
-        return np.where((dot == 0.0) | (norm == 0.0) | (self.norms == 0.0), 0.0, cosine)
+        return np.where((dot == 0.0) | (norm == 0.0) | (self.norms == 0.0), 0.0, cosine)[self.column]
 
 
 def knn_predict(
@@ -419,8 +448,10 @@ def naive_bayes_predict(
 
 class BaselinePolicy(CaseBatchPolicy):
     """A baseline's preferred / non-preferred prediction as a scoring policy
-    (+1/-1). ``fit`` builds the training arrays once, and a case's four
-    held-out films are predicted with one call."""
+    (+1/-1). ``fit`` takes the training matrix's ``TrainingArrays`` from
+    ``train.derived``, built by the first baseline fitted on that matrix
+    and shared by the rest, and a case's four held-out films are predicted
+    with one call."""
 
     def __init__(
         self, name: str, predict: Callable[[TrainingArrays, Mapping[str, float], list[str]], dict[str, bool]]
@@ -430,7 +461,7 @@ class BaselinePolicy(CaseBatchPolicy):
         self._arrays: TrainingArrays | None = None
 
     def _fit(self, train: ViewMatrix) -> None:
-        self._arrays = TrainingArrays(train)
+        self._arrays = train.derived(TrainingArrays)
 
     def _score_films(self, case: EvalCase, films: list[str]) -> list[float]:
         assert self._arrays is not None, "fit() first"

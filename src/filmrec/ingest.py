@@ -9,6 +9,7 @@ film id. A film's column (``film_views``) is gathered from the users on each
 call, at O(users) cost; a user restriction shares the kept users' dicts.
 Array kernels read ``dense``: the same data as two read-only users x films
 arrays, built from the dicts on first use and kept with the matrix.
+``derived`` keeps any other value computed from a matrix the same way.
 
 Rows are checked once, by ``_valid_rows`` over ``csv.reader`` (with
 ``csv.DictReader``'s header, blank-row and short-row rules), and folded
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO, TypeVar
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .errors import DataError, FormatError, RowError
 logger = logging.getLogger(__name__)
 
 CSV_COLUMNS = ("film_id", "user_id", "watch_seconds", "total_seconds")
+T = TypeVar("T")
 
 
 def ident_sort_key(ident: str) -> tuple[int, int, str]:
@@ -163,12 +165,13 @@ class ViewMatrix:
         self._by_user = by_user
 
     @classmethod
-    def _of(cls, by_user: dict[str, dict[str, float]], films: Iterable[str], users: Iterable[str]) -> "ViewMatrix":
+    def _of(cls, by_user: dict[str, dict[str, float]], films: tuple[str, ...], users: Iterable[str]) -> "ViewMatrix":
         """A matrix over prepared per-user dicts (values in [0, 1], one
-        object per film id), taken as they are; ``users`` holds every key
-        of ``by_user`` and may add users without views."""
+        object per film id) and films already in ``ident_sort_key`` order,
+        taken as they are; ``users`` holds every key of ``by_user`` and may
+        add users without views."""
         view = object.__new__(cls)
-        view._films = tuple(sorted(films, key=ident_sort_key))
+        view._films = films
         view._users = tuple(sorted(users, key=ident_sort_key))
         view._by_user = by_user
         return view
@@ -208,6 +211,18 @@ class ViewMatrix:
         np.put(watched, cells, True)
         pct.flags.writeable = watched.flags.writeable = False
         return DenseViews(pct, watched)
+
+    @cached_property
+    def _derived(self) -> dict[Callable, object]:
+        return {}
+
+    def derived(self, build: Callable[["ViewMatrix"], T]) -> T:
+        """``build(self)``, computed on first use and kept with the matrix,
+        as ``dense`` is: one value per ``build``, which dies with the
+        matrix and cannot go stale, as the matrix never changes."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
 
     def entry_count(self) -> int:
         return sum(len(v) for v in self._by_user.values())
@@ -286,7 +301,7 @@ def _fold(rows: Iterable[_Row], clamp: bool) -> ViewMatrix:
         raise DataError(f"watch time exceeds duration for film {film}, user {user}: {watch}s of {total}s")
     if not by_user:
         raise DataError("no viewing events")
-    return ViewMatrix._of(by_user, film_ids, by_user)
+    return ViewMatrix._of(by_user, tuple(sorted(film_ids, key=ident_sort_key)), by_user)
 
 
 def write_view_matrix_csv(view: ViewMatrix, stream: TextIO) -> None:

@@ -1,3 +1,5 @@
+import gc
+import json
 import logging
 import math
 import random
@@ -394,12 +396,102 @@ class TestBaselineKernels:
             expected = oracles.knn_baseline(train, {"c": 1.0}, targets, k)
             assert knn_predict(arrays, {"c": 1.0}, targets, k) == expected
 
+    FILMS = [str(i) for i in range(1, 61)]
+
+    @pytest.mark.parametrize(
+        "lengths, context_size",
+        [
+            ([12, 20, 29, 3, 0], 30),
+            ([30, 41, 55, 30, 60], 30),
+            ([12, 40, 45, 30, 60], 30),
+            ([12, 15, 29, 28, 45], 30),
+            ([0, 12, 40], 0),
+        ],
+        ids=["every_user_shorter", "no_user_shorter", "one_user_shorter", "one_user_not_shorter", "empty_context"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cosines_sum_in_the_dict_loops_order(self, lengths, context_size, seed):
+        # A user with fewer films than the context is summed in the user's
+        # order, any other in the context's; one user on a side is a single
+        # column, which column_sums adds through cumsum.
+        rng = random.Random(seed)
+        users = [f"u{i}" for i in range(1, len(lengths) + 1)]
+        entries = {}
+        for user, length in zip(users, lengths):
+            for film in rng.sample(self.FILMS, length):
+                entries[(film, user)] = rng.random()
+        train = ViewMatrix(entries, films=self.FILMS, users=users)
+        context = {film: rng.random() for film in rng.sample([*self.FILMS, "unseen"], context_size)}
+        expected = [oracles._cosine(context, train.user_views(user)).hex() for user in users]
+        assert [value.hex() for value in TrainingArrays(train).cosines(context).tolist()] == expected
+
     def test_log_odds_table_cells_equal_math_log_after_growing(self):
         first = len(log_odds_table(250))
         table = log_odds_table(first + 1)
         assert len(table) > first
         cells = [[math.log((m + 1) / (s + 2)).hex() for s in range(len(table))] for m in range(len(table))]
         assert [[value.hex() for value in row] for row in table.tolist()] == cells
+
+
+def perfbench_policies(seed: int) -> list:
+    """The four policies the ``evaluate`` benchmark evaluates, in its order."""
+    return [EgoGraphPolicy(edge_threshold=0.35), KnnPolicy(5), NaiveBayesPolicy(), RandomScorePolicy(seed)]
+
+
+def report_json(reports) -> str:
+    return json.dumps([report.to_json_dict() for report in reports])
+
+
+class TestSplitMemo:
+    def test_arrays_and_cases_are_built_once_per_split(self, monkeypatch, caplog):
+        built, cased = [], []
+        init, make = TrainingArrays.__init__, filmrec.evaluation.make_eval_case
+
+        def counted_init(self, train):
+            built.append(train)
+            init(self, train)
+
+        def counted_make(user, views):
+            cased.append(user)
+            return make(user, views)
+
+        monkeypatch.setattr(TrainingArrays, "__init__", counted_init)
+        monkeypatch.setattr(filmrec.evaluation, "make_eval_case", counted_make)
+        view = synthetic_view()
+        train, test = split_users(view, 40, 0.7, 0)
+        test = ViewMatrix({**test.entries(), ("1", "thin"): 0.5}, films=view.films)
+        with caplog.at_level(logging.WARNING, logger="filmrec.evaluation"):
+            reports = [evaluate_method(policy, train, test) for policy in perfbench_policies(0)]
+        assert len(built) == 1 and built[0] is train
+        assert cased == list(test.users)
+        assert [r.getMessage() for r in caplog.records].count("skipping test user thin: fewer than 4 watched films") == 4
+        for report in reports:
+            assert report.skipped_users == ("thin",)
+            assert len(report.judgments) == 4 * (len(test.users) - 1)
+
+    def test_a_second_split_gets_its_own_arrays_and_cases(self):
+        view = synthetic_view()
+        policies = perfbench_policies(3)
+        first = split_users(view, 40, 0.7, 0)
+        for policy in policies:
+            evaluate_method(policy, *first)
+        first_arrays, first_cases = first[0].derived(TrainingArrays), first[1].derived(filmrec.evaluation.eval_cases)
+        del first
+        gc.collect()
+        train, test = split_users(view, 40, 0.7, 5)
+        reports = [evaluate_method(policy, train, test) for policy in policies]
+        assert train.derived(TrainingArrays) is not first_arrays
+        assert test.derived(filmrec.evaluation.eval_cases) is not first_cases
+        fresh = [view.restrict_users(side.users) for side in (train, test)]
+        assert report_json(reports) == report_json(evaluate_method(p, *fresh) for p in perfbench_policies(3))
+
+    @pytest.mark.parametrize("index", range(4), ids=["ego_graph", "knn5", "naive_bayes", "random"])
+    def test_a_policy_repeats_itself_on_one_split(self, index):
+        view = generate_synthetic(SyntheticSpec(20, 60, seed=1))
+        train, test = split_users(view, 40, 0.7, 1)
+        policy = perfbench_policies(1)[index]
+        first = evaluate_method(policy, train, test)
+        assert report_json([evaluate_method(policy, train, test)]) == report_json([first])
 
 
 class TestBaselinePolicy:
