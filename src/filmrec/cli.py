@@ -1,10 +1,13 @@
 """Command-line entry point.
 
-Each pipeline stage is runnable in isolation (reading the raw events file
-and dumping that stage's table as CSV), and ``run`` executes the whole
-pipeline into a serialized artifact. Exit codes: 0 success, 1 usage error,
-2 data error. ``--log-level`` (before the command) routes log messages to
-stderr as ``LEVEL logger: message``.
+Each pipeline stage is runnable in isolation: its command reads the raw
+events file and dumps that stage's table as CSV. ``similarity``, ``graph``,
+``centrality`` and ``cluster`` run the stages of ``pipeline.run_stages`` up
+to their own and no further; ``ingest`` and ``profiles`` need only the
+viewing matrix. ``run`` executes the whole pipeline into a serialized
+artifact. Exit codes: 0 success, 1 usage error, 2 data error.
+``--log-level`` (before the command) routes log messages to stderr as
+``LEVEL logger: message``.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from .config import PipelineConfig, read_config_file, validate_config
 from .errors import FilmRecError
 from .graph import write_centrality_csv, write_edges_csv
 from .ingest import write_view_matrix_csv
-from .pipeline import load_view_matrix, recommend, run_pipeline, run_pipeline_from_view
+from .pipeline import load_view_matrix, recommend, run_pipeline, run_stages
 from .profiles import build_profiles, write_profiles_csv
 from .ranking import write_recommendations_csv
 from .server import parse_bind, serve
-from .similarity import average_similarity, write_dual_similarity_csv, write_similarity_csv
+from .similarity import write_dual_similarity_csv, write_similarity_csv
 
 BIND_ENV_VAR = "FILMREC_BIND"
 DEFAULT_BIND = "127.0.0.1:8331"
@@ -97,10 +100,15 @@ def _dump(compute, writer):
     return command
 
 
+def _until(name: str):
+    """A ``_dump`` compute: run the stages in order and stop at ``name``'s output."""
+    return lambda view, config: next(output for stage, output in run_stages(view, config) if stage == name)
+
+
 def _cmd_similarity(args) -> int:
     config = _config_from_args(args)
     view = load_view_matrix(args.events, config, skip_bad_rows=args.skip_bad_rows)
-    sim = average_similarity(view, config.averaging_policy)
+    sim = _until("similarity")(view, config)
     with _output(args.output) as stream:
         write_similarity_csv(sim, stream)
     if args.ds_dump:
@@ -207,19 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    def part(name: str):
-        """A ``_dump`` compute for one part of the artifact that ``run`` builds."""
-        return lambda view, config: getattr(run_pipeline_from_view(view, config), name)
-
     ingest = _dump(lambda view, config: view, write_view_matrix_csv)
     stage("ingest", "parse events and dump the viewing-percentage matrix", ingest)
 
     p = stage("similarity", "dump the averaged film similarity matrix", _cmd_similarity)
     p.add_argument("--ds-dump", metavar="FILE", help="also dump the per-user DS tensor")
 
-    stage("graph", "dump the thresholded film graph edge list", _dump(part("graph"), write_edges_csv))
-    stage("centrality", "dump per-film centrality measures", _dump(part("centrality"), write_centrality_csv))
-    stage("cluster", "dump the film clustering", _dump(part("clustering"), write_clusters_csv))
+    stage("graph", "dump the thresholded film graph edge list", _dump(_until("graph"), write_edges_csv))
+    stage("centrality", "dump per-film centrality measures", _dump(_until("centrality"), write_centrality_csv))
+    stage("cluster", "dump the film clustering", _dump(_until("cluster"), write_clusters_csv))
     profiles = _dump(lambda view, config: build_profiles(view, config.preference_threshold), write_profiles_csv)
     stage("profiles", "dump per-user preference labels", profiles)
 

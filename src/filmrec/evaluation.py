@@ -30,7 +30,7 @@ from .config import PipelineConfig, validate_config
 from .errors import DomainError
 from .graph import CentralityTable, FilmGraph, build_graph
 from .ingest import ViewMatrix, ViewingEvent, ident_sort_key
-from .pipeline import _warn_if_degenerate
+from .pipeline import _warn_if_complete_or_edgeless, _warn_if_constant_centrality
 from .ranking import column_sums, score_candidates
 from .similarity import _pack_users, average_similarity
 
@@ -256,10 +256,12 @@ class EgoGraphPolicy(CaseBatchPolicy):
         self.clustering = None
 
     def _fit(self, train: ViewMatrix) -> None:
+        # not run_stages: perfbench's traced evaluate wraps these names on filmrec.evaluation
         self.similarity = average_similarity(train, self.config.averaging_policy)
         self.graph = build_graph(self.similarity, self.config.edge_threshold)
+        _warn_if_complete_or_edgeless(self.graph, self.config.edge_threshold)
         self.centrality = CentralityTable.compute(self.graph)
-        _warn_if_degenerate(self.graph, self.centrality, self.config.edge_threshold)
+        _warn_if_constant_centrality(self.graph, self.centrality, self.config.edge_threshold)
         self.clustering = louvain(self.graph)
 
     def _score_films(self, case: EvalCase, films: list[str]) -> list[float]:

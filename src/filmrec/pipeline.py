@@ -1,9 +1,15 @@
-"""End-to-end pipeline orchestration and recommendation lookups."""
+"""End-to-end pipeline orchestration and recommendation lookups.
+
+``run_stages`` is the one place the stage order lives: similarity, graph,
+centrality, cluster, profiles. ``run_pipeline_from_view`` runs them all
+into an artifact; a CLI stage command runs them only up to its own.
+"""
 
 from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -38,49 +44,58 @@ def load_view_matrix(events_path: str | Path, config: PipelineConfig, *, skip_ba
             return read_view_matrix(stream, clamp=config.clamp, skip_bad_rows=skip_bad_rows)
 
 
-def run_pipeline_from_view(view: ViewMatrix, config: PipelineConfig) -> PipelineArtifact:
+def run_stages(view: ViewMatrix, config: PipelineConfig) -> Iterator[tuple[str, object]]:
+    """Validates the config, then runs similarity, graph, centrality, cluster
+    and profiles in that order, yielding ``(stage, output)`` after each. A
+    caller that stops asking stops the run: no later stage starts. Each
+    stage's INFO time and ``StageError`` cover that stage's own work only."""
     validate_config(config)
     with _stage("similarity"):
         similarity = average_similarity(view, config.averaging_policy)
+    yield "similarity", similarity
     with _stage("graph"):
         graph = build_graph(similarity, config.edge_threshold)
+    _warn_if_complete_or_edgeless(graph, config.edge_threshold)
+    yield "graph", graph
     with _stage("centrality"):
         centrality = CentralityTable.compute(graph)
-    _warn_if_degenerate(graph, centrality, config.edge_threshold)
+    _warn_if_constant_centrality(graph, centrality, config.edge_threshold)
+    yield "centrality", centrality
     with _stage("cluster"):
         clustering = louvain(graph)
+    yield "cluster", clustering
     with _stage("profiles"):
         profiles = build_profiles(view, config.preference_threshold)
-    return PipelineArtifact.build(config, similarity, graph, centrality, clustering, profiles)
+    yield "profiles", profiles
 
 
-def _warn_if_degenerate(graph: FilmGraph, centrality: CentralityTable, edge_threshold: float) -> None:
+def run_pipeline_from_view(view: ViewMatrix, config: PipelineConfig) -> PipelineArtifact:
+    return PipelineArtifact.build(config, *(output for _, output in run_stages(view, config)))
+
+
+def _warn_if_complete_or_edgeless(graph: FilmGraph, edge_threshold: float) -> None:
     """In a complete or an edgeless graph every film has the same degree,
-    closeness and betweenness, so centrality cannot tell films apart; in
-    any other graph one of the three can still be the same for every film."""
+    closeness and betweenness, so centrality cannot tell films apart."""
+    nodes, edges = graph.node_count(), graph.edge_count()
+    if nodes >= 2 and edges in (0, nodes * (nodes - 1) // 2):
+        shape = "edgeless" if edges == 0 else "complete"
+        logger.warning("similarity graph is %s: %d edges at edge_threshold %s", shape, edges, edge_threshold)
+
+
+def _warn_if_constant_centrality(graph: FilmGraph, centrality: CentralityTable, edge_threshold: float) -> None:
+    """A graph that is neither complete nor edgeless (those are warned about
+    after the graph stage) can still give every film the same degree,
+    closeness or betweenness."""
     nodes = graph.node_count()
-    edges = graph.edge_count()
-    if nodes < 2:
+    if not 0 < graph.edge_count() < nodes * (nodes - 1) // 2:
         return
-    if 0 < edges < nodes * (nodes - 1) // 2:
-        rows = centrality.rows.values()
-        constant = [
-            name
-            for name, values in (
-                ("degree", {row.degree_c for row in rows}),
-                ("closeness", {row.closeness_c for row in rows}),
-                ("betweenness", {row.betweenness_c for row in rows}),
-            )
-            if len(values) == 1
-        ]
-        if constant:
-            logger.warning(
-                "centrality is constant over all %d films at edge_threshold %s: %s",
-                nodes, edge_threshold, ", ".join(constant),
-            )
-        return
-    shape = "edgeless" if edges == 0 else "complete"
-    logger.warning("similarity graph is %s: %d edges at edge_threshold %s", shape, edges, edge_threshold)
+    columns = zip(*((row.degree_c, row.closeness_c, row.betweenness_c) for row in centrality.rows.values()))
+    constant = [name for name, column in zip(("degree", "closeness", "betweenness"), columns) if len(set(column)) == 1]
+    if constant:
+        logger.warning(
+            "centrality is constant over all %d films at edge_threshold %s: %s",
+            nodes, edge_threshold, ", ".join(constant),
+        )
 
 
 def run_pipeline(events_path: str | Path, config: PipelineConfig, *, skip_bad_rows: bool = False) -> PipelineArtifact:

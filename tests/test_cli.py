@@ -125,6 +125,34 @@ def test_every_stage_dump_is_the_library_writers_bytes(events_file, tmp_path):
     assert ds.read_bytes() == rendered(write_dual_similarity_csv, view)
 
 
+def rendered_bytes(writer, value) -> bytes:
+    stream = io.StringIO()
+    writer(value, stream)
+    return stream.getvalue().encode("utf-8")
+
+
+def test_each_stage_command_stops_at_its_own_stage(events_file, tmp_path, monkeypatch):
+    """With the later stages patched to raise, each stage command still
+    exits 0 and writes the library writer's bytes: it never starts them."""
+    config = PipelineConfig(edge_threshold=0.3)
+    graph = build_graph(average_similarity(load_view_matrix(events_file, config)), config.edge_threshold)
+    assert 0 < graph.edge_count() < len(graph.nodes) * (len(graph.nodes) - 1) // 2
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a later stage ran")
+
+    def dumped(command: str) -> bytes:
+        out = tmp_path / f"{command}.csv"
+        assert main([command, str(events_file), "-o", str(out), "--edge-threshold", "0.3"]) == 0, command
+        return out.read_bytes()
+
+    monkeypatch.setattr(filmrec.pipeline, "build_profiles", refused)
+    assert dumped("cluster") == rendered_bytes(write_clusters_csv, louvain(graph))
+    monkeypatch.setattr(filmrec.pipeline, "louvain", refused)
+    assert dumped("graph") == rendered_bytes(write_edges_csv, graph)
+    assert dumped("centrality") == rendered_bytes(write_centrality_csv, CentralityTable.compute(graph))
+
+
 def test_run_and_recommend(events_file, tmp_path, capsys):
     artifact_path = tmp_path / "artifact.json"
     assert main(["run", str(events_file), "-o", str(artifact_path)]) == 0
@@ -369,6 +397,46 @@ def test_info_level_routes_the_server_start_message(events_file, tmp_path):
         proc.kill()
         proc.communicate()
     assert line.strip() == "INFO filmrec.server: serving on 127.0.0.1:0"
+
+
+COMPLETE_GRAPH_WARNING = "WARNING filmrec.pipeline: similarity graph is complete: 66 edges at edge_threshold 0.0"
+STAGES = ["ingest", "similarity", "graph", "centrality", "cluster", "profiles"]
+
+
+@pytest.mark.parametrize("command", ["similarity", "graph", "centrality", "cluster", "run"])
+def test_each_stage_command_logs_the_stages_up_to_its_own(events_file, tmp_path, command):
+    """At INFO a stage command logs the time of each stage it ran and no
+    other; the complete-graph warning follows the graph stage."""
+    proc = run_cli("--log-level", "INFO", command, str(events_file), "-o", str(tmp_path / "out"))
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    ran = STAGES if command == "run" else STAGES[: STAGES.index(command) + 1]
+    expected = [f"INFO filmrec.pipeline: stage {stage}: <ms>" for stage in ran]
+    if "graph" in ran:
+        expected.insert(ran.index("graph") + 1, COMPLETE_GRAPH_WARNING)
+    assert [re.sub(r": \d+\.\d ms$", ": <ms>", line) for line in err.splitlines()] == expected
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ((3, 3), "centrality is constant over all 6 films at edge_threshold 0.5: degree, closeness, betweenness"),
+        ((3, 2), "centrality is constant over all 5 films at edge_threshold 0.5: betweenness"),
+    ],
+)
+def test_centrality_command_warns_about_constant_centrality(tmp_path, sizes, message):
+    """Disjoint blocks of films, each watched at 0.8 by its own two users:
+    every block is a clique, and no edge joins two blocks."""
+    rows, first = [], 1
+    for block, size in enumerate(sizes):
+        rows += [f"{film},{user}{block},80,100" for film in range(first, first + size) for user in "ab"]
+        first += size
+    events = tmp_path / "blocks.csv"
+    events.write_text("film_id,user_id,watch_seconds,total_seconds\n" + "\n".join(rows) + "\n")
+    proc = run_cli("centrality", str(events), "--edge-threshold", "0.5", "-o", str(tmp_path / "centrality.csv"))
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err.splitlines() == [f"WARNING filmrec.pipeline: {message}"]
 
 
 BAD_BINDS = ["localhost:abc", "127.0.0.1:99999", ":8080", "localhost:"]
