@@ -154,8 +154,8 @@ class PipelineArtifact:
     def load(cls, path: str | Path) -> "PipelineArtifact":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"artifact is not valid JSON: {exc}")
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise DataError(f"artifact is not valid UTF-8 JSON: {exc}")
         return cls.from_payload(payload)
 
     @classmethod

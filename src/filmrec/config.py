@@ -96,7 +96,11 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"config file {path} is not UTF-8: {exc}")
+    return parse_config_text(text)
 
 
 def load_config(path: str | Path) -> PipelineConfig:

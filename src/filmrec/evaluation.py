@@ -296,46 +296,28 @@ class TrainingArrays:
     and how many evaluations use it.
 
     ``film_index`` maps a film to its row; one extra all-zero row stands for
-    every film the matrix lacks. ``views`` follows ``train.users``. The
-    cosine arrays ``pct``, ``order``, ``values``, ``lengths`` and ``norms``
-    take the users fewest films first instead (a stable sort), so the
-    users with fewer films than a context are one leading run of columns;
-    ``column`` is the column of each user of ``train.users``. Every float
-    array lays the terms of one user's sum down axis 0, so ``column_sums``
-    adds them in order. ``pct`` is films x users, copied from the matrix's
-    cached ``dense`` array; ``order`` and ``values`` hold each user's films
-    and percentages by position in that user's own dict order, padded with
-    the zero row, so a column sum adds in the order the dict loops add.
-    ``watched``, ``liked`` (pct > 0.5) and ``disliked`` (watched, pct <=
-    0.5) pack each film's users, in ``train.users`` order, into 64-bit
-    words, from which Naive Bayes counts with popcounts.
+    every film the matrix lacks. Columns follow ``train.users``. ``pct``
+    (films x users, the matrix's ``dense`` array transposed) lays the terms
+    of each user's sums down axis 0, so ``column_sums`` adds them in film
+    order; ``seen`` marks the watched cells, and ``lengths`` counts each
+    user's films. ``watched``, ``liked`` (pct > 0.5) and ``disliked``
+    (watched, pct <= 0.5) pack each film's users into 64-bit words, from
+    which Naive Bayes counts with popcounts.
     """
 
     def __init__(self, train: ViewMatrix):
         self.film_index = {film: i for i, film in enumerate(train.films)}
         self.absent = len(self.film_index)
-        self.views = [train.user_views(user) for user in train.users]
-        lengths = np.array([len(views) for views in self.views])
-        by_length = np.argsort(lengths, kind="stable")
-        self.lengths = lengths[by_length]
-        self.column = np.argsort(by_length)
-        # one trailing zero at least, so no column sum runs over an empty column
-        width = int(self.lengths.max(initial=0)) + 1
-        self.order = np.full((width, len(self.views)), self.absent, dtype=np.intp)
-        self.values = np.zeros((width, len(self.views)))
-        for col, row in enumerate(by_length.tolist()):
-            views = self.views[row]
-            self.order[: len(views), col] = [self.film_index[film] for film in views]
-            self.values[: len(views), col] = list(views.values())
-        dense = train.dense
-        self.pct = np.zeros((self.absent + 1, len(self.views)))
-        self.pct[: self.absent] = dense.pct.T[:, by_length]
-        liked = dense.watched & (dense.pct > 0.5)
+        pct, watched = train.dense
+        self.pct = np.vstack([pct.T, np.zeros((1, len(train.users)))])
+        self.seen = np.vstack([watched.T, np.zeros((1, len(train.users)), dtype=bool)])
+        self.lengths = watched.sum(axis=1)
+        liked = watched & (pct > 0.5)
         self.watched, self.liked, self.disliked = (
             np.vstack([words, np.zeros((1, words.shape[1]), dtype=np.uint64)])
-            for words in map(_pack_users, (dense.watched, liked, dense.watched & ~liked))
+            for words in map(_pack_users, (watched, liked, watched & ~liked))
         )
-        self.norms = np.sqrt(column_sums(self.values * self.values))
+        self.norms = np.sqrt(column_sums(self.pct * self.pct))
 
     def columns(self, films: Iterable[str]) -> list[int]:
         return [self.film_index.get(film, self.absent) for film in films]
@@ -343,28 +325,24 @@ class TrainingArrays:
     def cosines(self, context: Mapping[str, float]) -> np.ndarray:
         """Every training user's cosine with ``context`` (absent = 0),
         bit-identical to a dict loop that sums the smaller dict's products
-        in its insertion order. Each user's dot product is summed in that
-        one order: down ``values`` in the user's own order for the leading
-        run of users with fewer films than the context, down ``pct`` in
-        context order for the rest. ``column_sums`` adds each column alone,
-        so which columns sit beside it changes no bit."""
+        in its insertion order, a user's dict being in film order. The dot
+        product of a user with fewer films than the context is summed down
+        ``pct`` in film order, any other in context order. The unwatched
+        films add +0.0 terms, which change no partial sum but a -0.0 one,
+        and that comes only before a zero dot, which gives a 0.0 cosine
+        either way. ``column_sums`` adds each column alone, so which
+        columns sit beside it changes no bit."""
         cols = self.columns(context)
         vals = np.array([*context.values(), 0.0])
         dense = np.zeros(self.absent + 1)
-        dense[cols] = vals[:-1]
-        dense[self.absent] = 0.0  # the training users' padding
-        short = int(np.searchsorted(self.lengths, len(context)))
-        # A short user's films all lie in the first len(context) rows. The
-        # padding rows below would only add +0.0, which can turn a -0.0 dot
-        # into 0.0, and a zero dot gives a 0.0 cosine either way.
-        rows = len(context)
-        by_train = column_sums(self.values[:rows, :short] * dense[self.order[:rows, :short]])
-        by_context = column_sums(self.pct[[*cols, self.absent], short:] * vals[:, None])
-        dot = np.concatenate([by_train, by_context])
+        dense[cols] = vals[:-1]  # whatever lands in the absent row meets zeros
+        by_film = column_sums(self.pct * dense[:, None])
+        by_context = column_sums(self.pct[[*cols, self.absent]] * vals[:, None])
+        dot = np.where(self.lengths < len(context), by_film, by_context)
         norm = np.sqrt(column_sums(vals * vals))
         with np.errstate(divide="ignore", invalid="ignore"):
             cosine = dot / (norm * self.norms)
-        return np.where((dot == 0.0) | (norm == 0.0) | (self.norms == 0.0), 0.0, cosine)[self.column]
+        return np.where((dot == 0.0) | (norm == 0.0) | (self.norms == 0.0), 0.0, cosine)
 
 
 def knn_predict(
@@ -375,22 +353,19 @@ def knn_predict(
     neighbors' similarity-weighted mean percentage on the film exceeds 0.5;
     films none of them watched come back non-preferred. Cosine ties go to
     the lower user id: the sort is stable, and the training users are in
-    ``ident_sort_key`` order."""
+    ``ident_sort_key`` order. Both sums run down the neighbours in rank
+    order with ``column_sums``; a neighbour who did not watch the film, or
+    whose similarity is not positive, adds 0.0."""
+    films = list(films)
     cosines = arrays.cosines(user_views)
-    rows = np.argsort(-cosines, kind="stable")[:k].tolist()
-    neighbors = [(arrays.views[row], sim) for row, sim in zip(rows, cosines[rows].tolist())]
-    predictions: dict[str, bool] = {}
-    for film in films:
-        weight_total = 0.0
-        weighted_pct = 0.0
-        for views, sim in neighbors:
-            pct = views.get(film)
-            if pct is None or sim <= 0.0:
-                continue
-            weight_total += sim
-            weighted_pct += sim * pct
-        predictions[film] = weight_total > 0.0 and weighted_pct / weight_total > 0.5
-    return predictions
+    rows = np.argsort(-cosines, kind="stable")[:k]
+    targets = arrays.columns(films)
+    weights = np.where(arrays.seen[targets][:, rows] & (cosines[rows] > 0.0), cosines[rows], 0.0).T
+    weight_total = column_sums(weights)
+    weighted_pct = column_sums(weights * arrays.pct[targets][:, rows].T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        preferred = (weight_total > 0.0) & (weighted_pct / weight_total > 0.5)
+    return dict(zip(films, preferred.tolist()))
 
 
 _log_odds = np.zeros((0, 0))
@@ -434,7 +409,7 @@ def naive_bayes_predict(
     in_class = np.bitwise_count(classes).sum(axis=1)
     seen = np.bitwise_count(arrays.watched[feature_cols][:, None] & classes).sum(axis=2)
     match = np.bitwise_count(match_bits[:, None] & classes).sum(axis=2)
-    table = log_odds_table(len(arrays.views) + 1)
+    table = log_odds_table(arrays.pct.shape[1] + 1)
     terms = np.empty((1 + len(features), 2 * len(films)))
     watchers = in_class[: len(films)] + in_class[len(films) :]
     terms[0] = table[in_class, np.tile(watchers, 2)]
@@ -554,9 +529,8 @@ def view_to_events(view: ViewMatrix) -> list[ViewingEvent]:
     each over a film of ``EVENT_TOTAL_SECONDS``."""
     events = []
     for film in view.films:
-        views = view.film_views(film)
-        for user in sorted(views, key=ident_sort_key):
-            events.append(ViewingEvent(film, user, views[user] * EVENT_TOTAL_SECONDS, EVENT_TOTAL_SECONDS))
+        for user, pct in view.film_views(film).items():
+            events.append(ViewingEvent(film, user, pct * EVENT_TOTAL_SECONDS, EVENT_TOTAL_SECONDS))
     return events
 
 

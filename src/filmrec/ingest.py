@@ -4,19 +4,19 @@ The matrix stores, per (film, user), the fraction of the film's runtime the
 user actually watched. A pair that never occurs means "never watched", which
 is deliberately distinct from a stored 0.0 ("started but watched nothing");
 the similarity layer treats the two cases differently. It keeps one store,
-keyed by user: each user's ``{film: pct}`` dict, with one string object per
-film id. A film's column (``film_views``) is gathered from the users on each
-call, at O(users) cost; a user restriction shares the kept users' dicts.
-Array kernels read ``dense``: the same data as two read-only users x films
-arrays, built from the dicts on first use and kept with the matrix.
-``derived`` keeps any other value computed from a matrix the same way.
+``dense``: two read-only users x films arrays, ``pct`` and ``watched``,
+built when the matrix is made, with one id -> position map per axis. Every
+read comes off those arrays, a user's films in film order and a film's
+users in user order, so nothing depends on the order the rows came in; a
+user restriction gathers the kept users' rows. ``derived`` keeps any other
+value computed from a matrix with it.
 
 Rows are checked once, by ``_valid_rows`` over ``csv.reader`` (with
 ``csv.DictReader``'s header, blank-row and short-row rules), and folded
-once, by ``_fold``, which keeps each pair's maximum straight in the per-user
-dicts. ``read_view_matrix`` joins the two in one pass with no per-row
-objects; ``parse_events`` and ``build_view_matrix`` are the same two steps
-with ``ViewingEvent``s in between.
+once, by ``_fold``, which keeps each pair's maximum in per-user dicts and
+writes them into the arrays. ``read_view_matrix`` joins the two in one pass
+with no per-row objects; ``parse_events`` and ``build_view_matrix`` are the
+same two steps with ``ViewingEvent``s in between.
 """
 
 from __future__ import annotations
@@ -142,8 +142,9 @@ class DenseViews(NamedTuple):
 
 
 class ViewMatrix:
-    """Sparse (film, user) -> viewing percentage map, stored once per user,
-    with deterministic film/user orderings. Immutable after construction."""
+    """Sparse (film, user) -> viewing percentage map, stored as its dense
+    users x films arrays, with deterministic film/user orderings. Immutable
+    after construction."""
 
     def __init__(
         self,
@@ -152,29 +153,47 @@ class ViewMatrix:
         films: Iterable[str] | None = None,
         users: Iterable[str] | None = None,
     ):
-        # one object per film id, so lookups across users' dicts match by identity
+        # one object per film id, so the array build looks each up by identity
         film_ids = {film: film for film in films or ()}
         by_user: dict[str, dict[str, float]] = {}
         for (film, user), value in entries.items():
             if not 0.0 <= value <= 1.0:
                 raise DataError(f"viewing percentage out of range for ({film}, {user}): {value}")
-            film = film_ids.setdefault(film, film)
-            by_user.setdefault(user, {})[film] = value
-        self._films = tuple(sorted(film_ids, key=ident_sort_key))
-        self._users = tuple(sorted(set(by_user).union(users or ()), key=ident_sort_key))
-        self._by_user = by_user
+            by_user.setdefault(user, {})[film_ids.setdefault(film, film)] = value
+        self._fill(by_user, film_ids, chain(by_user, users or ()))
 
     @classmethod
-    def _of(cls, by_user: dict[str, dict[str, float]], films: tuple[str, ...], users: Iterable[str]) -> "ViewMatrix":
-        """A matrix over prepared per-user dicts (values in [0, 1], one
-        object per film id) and films already in ``ident_sort_key`` order,
-        taken as they are; ``users`` holds every key of ``by_user`` and may
-        add users without views."""
+    def _of(cls, by_user: dict[str, dict[str, float]], films: Iterable[str]) -> "ViewMatrix":
+        """A matrix over per-user dicts of values in [0, 1], taken as they
+        are; ``films`` holds every film of ``by_user``."""
         view = object.__new__(cls)
-        view._films = films
-        view._users = tuple(sorted(users, key=ident_sort_key))
-        view._by_user = by_user
+        view._fill(by_user, films, by_user)
         return view
+
+    def _index(self, films: Iterable[str], users: Iterable[str]) -> None:
+        self._films = tuple(sorted(set(films), key=ident_sort_key))
+        self._users = tuple(sorted(set(users), key=ident_sort_key))
+        self._film_index = {film: i for i, film in enumerate(self._films)}
+        self._user_index = {user: i for i, user in enumerate(self._users)}
+
+    def _fill(self, by_user: dict[str, dict[str, float]], films: Iterable[str], users: Iterable[str]) -> None:
+        """Index the films and users, which hold every key of ``by_user``,
+        then write its cells into the arrays with one ``np.fromiter`` pass."""
+        self._index(films, users)
+        lengths = [len(views) for views in by_user.values()]
+        count = sum(lengths)
+        rows = np.fromiter(map(self._user_index.__getitem__, by_user), np.int32, len(by_user))
+        cols = np.fromiter(map(self._film_index.__getitem__, chain.from_iterable(by_user.values())), np.int32, count)
+        cells = (np.repeat(rows, lengths), cols)
+        pct = np.zeros((len(self._users), len(self._films)))
+        pct[cells] = np.fromiter(chain.from_iterable(v.values() for v in by_user.values()), np.float64, count)
+        watched = np.zeros(pct.shape, dtype=bool)
+        watched[cells] = True
+        self._set(pct, watched)
+
+    def _set(self, pct: np.ndarray, watched: np.ndarray) -> None:
+        pct.flags.writeable = watched.flags.writeable = False
+        self._dense = DenseViews(pct, watched)
 
     @property
     def films(self) -> tuple[str, ...]:
@@ -184,62 +203,65 @@ class ViewMatrix:
     def users(self) -> tuple[str, ...]:
         return self._users
 
+    @property
+    def dense(self) -> DenseViews:
+        """The matrix as its read-only ``pct`` and ``watched`` arrays."""
+        return self._dense
+
     def pct(self, film: str, user: str) -> float | None:
         """Viewing percentage, or None if the user never watched the film."""
-        return self._by_user.get(user, {}).get(film)
+        u, f = self._user_index.get(user), self._film_index.get(film)
+        if u is None or f is None or not self._dense.watched[u, f]:
+            return None
+        return float(self._dense.pct[u, f])
 
-    def film_views(self, film: str) -> Mapping[str, float]:
-        """The film's watchers and percentages, gathered in O(users)."""
-        return {user: views[film] for user, views in self._by_user.items() if film in views}
+    def film_views(self, film: str) -> dict[str, float]:
+        """The film's watchers and percentages, in user order."""
+        f = self._film_index.get(film)
+        return {} if f is None else self._line(self._users, self._dense.pct[:, f], self._dense.watched[:, f])
 
-    def user_views(self, user: str) -> Mapping[str, float]:
-        return self._by_user.get(user, {})
+    def user_views(self, user: str) -> dict[str, float]:
+        """The user's films and percentages, in film order."""
+        u = self._user_index.get(user)
+        return {} if u is None else self._line(self._films, self._dense.pct[u], self._dense.watched[u])
 
-    @cached_property
-    def dense(self) -> DenseViews:
-        """The matrix as read-only ``pct`` and ``watched`` arrays, built once
-        per matrix with one ``np.fromiter`` pass over the per-user dicts."""
-        index = {film: i for i, film in enumerate(self._films)}
-        views = [self._by_user.get(user, {}) for user in self._users]
-        lengths = [len(v) for v in views]
-        count = sum(lengths)
-        cols = np.fromiter(map(index.__getitem__, chain.from_iterable(views)), np.intp, count)
-        cells = np.repeat(np.arange(len(views)) * len(index), lengths) + cols
-        pct = np.zeros((len(views), len(index)))
-        np.put(pct, cells, np.fromiter(chain.from_iterable(v.values() for v in views), np.float64, count))
-        watched = np.zeros(pct.shape, dtype=bool)
-        np.put(watched, cells, True)
-        pct.flags.writeable = watched.flags.writeable = False
-        return DenseViews(pct, watched)
+    @staticmethod
+    def _line(ids: tuple[str, ...], pct: np.ndarray, watched: np.ndarray) -> dict[str, float]:
+        cells = np.flatnonzero(watched)
+        return dict(zip(map(ids.__getitem__, cells.tolist()), pct[cells].tolist()))
 
     @cached_property
     def _derived(self) -> dict[Callable, object]:
         return {}
 
     def derived(self, build: Callable[["ViewMatrix"], T]) -> T:
-        """``build(self)``, computed on first use and kept with the matrix,
-        as ``dense`` is: one value per ``build``, which dies with the
-        matrix and cannot go stale, as the matrix never changes."""
+        """``build(self)``, computed on first use and kept with the matrix:
+        one value per ``build``, which dies with the matrix and cannot go
+        stale, as the matrix never changes."""
         if build not in self._derived:
             self._derived[build] = build(self)
         return self._derived[build]
 
     def entry_count(self) -> int:
-        return sum(len(v) for v in self._by_user.values())
+        return int(np.count_nonzero(self._dense.watched))
 
     def entries(self) -> dict[tuple[str, str], float]:
-        return {
-            (film, user): value
-            for user, views in self._by_user.items()
-            for film, value in views.items()
-        }
+        rows, cols = np.nonzero(self._dense.watched)
+        values = self._dense.pct[rows, cols].tolist()
+        return {(self._films[f], self._users[u]): v for u, f, v in zip(rows.tolist(), cols.tolist(), values)}
 
     def restrict_users(self, users: Iterable[str]) -> "ViewMatrix":
-        """Sub-matrix of the given users, sharing their dicts; the film list
-        is kept intact so both sides of a split share one film universe."""
-        keep = set(users)
-        kept = {user: views for user, views in self._by_user.items() if user in keep}
-        return ViewMatrix._of(kept, self._films, keep)
+        """Sub-matrix of the given users, their rows gathered; a user the
+        matrix lacks gets an empty row. The film list is kept intact so both
+        sides of a split share one film universe."""
+        view = object.__new__(ViewMatrix)
+        view._index(self._films, users)
+        rows = np.array([self._user_index.get(user, -1) for user in view._users], dtype=np.intp)
+        known, shape = rows >= 0, (rows.size, len(self._films))
+        pct, watched = np.zeros(shape), np.zeros(shape, dtype=bool)
+        pct[known], watched[known] = self._dense.pct[rows[known]], self._dense.watched[rows[known]]
+        view._set(pct, watched)
+        return view
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ViewMatrix):
@@ -247,7 +269,7 @@ class ViewMatrix:
         return (
             self._films == other._films
             and self._users == other._users
-            and self._by_user == other._by_user
+            and all(map(np.array_equal, self._dense, other._dense))
         )
 
     def __repr__(self) -> str:
@@ -274,8 +296,8 @@ def read_view_matrix(
 
 
 def _fold(rows: Iterable[_Row], clamp: bool) -> ViewMatrix:
-    """Max-fold valid rows straight into the per-user dicts. Users and each
-    user's films keep first-sighting order. With ``clamp=False`` the first
+    """Max-fold valid rows into per-user dicts, with one object per film id,
+    from which the matrix's arrays are built. With ``clamp=False`` the first
     ratio above 1 is raised once every row has been read, so a malformed
     later row is reported first."""
     film_ids: dict[str, str] = {}
@@ -301,7 +323,7 @@ def _fold(rows: Iterable[_Row], clamp: bool) -> ViewMatrix:
         raise DataError(f"watch time exceeds duration for film {film}, user {user}: {watch}s of {total}s")
     if not by_user:
         raise DataError("no viewing events")
-    return ViewMatrix._of(by_user, tuple(sorted(film_ids, key=ident_sort_key)), by_user)
+    return ViewMatrix._of(by_user, film_ids)
 
 
 def write_view_matrix_csv(view: ViewMatrix, stream: TextIO) -> None:
@@ -309,6 +331,5 @@ def write_view_matrix_csv(view: ViewMatrix, stream: TextIO) -> None:
     writer = csv.writer(stream)
     writer.writerow(["film_id", "user_id", "pct"])
     for film in view.films:
-        views = view.film_views(film)
-        for user in sorted(views, key=ident_sort_key):
-            writer.writerow([film, user, repr(views[user])])
+        for user, value in view.film_views(film).items():
+            writer.writerow([film, user, repr(value)])

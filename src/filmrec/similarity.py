@@ -19,9 +19,9 @@ different matrices on sparse data:
 
 The average is accumulated user-major over a pair vector: one entry per
 upper-triangle film pair (``np.triu_indices``) and a float64 running total.
-Each user's percentages are one row of the matrix's cached dense arrays
+Each user's percentages are one row of the matrix's dense arrays
 (``ViewMatrix.dense``: float64 ``pct`` and bool ``watched``, users x films,
-built once per matrix). Users are taken in ascending user order; for each
+the matrix's only store). Users are taken in ascending user order; for each
 one, the dual similarity of every pair is computed with a few vectorised
 numpy operations into preallocated pair buffers and added to the total. Per
 film pair this is exactly the scalar definition, with the users summed

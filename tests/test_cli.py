@@ -318,6 +318,40 @@ def test_malformed_artifact_exits_two(tmp_path, capsys, document):
     assert "error:" in capsys.readouterr().err
 
 
+def artifact_command_outcome(tmp_path, capsys, monkeypatch, command, document: bytes):
+    """The exit code and stderr of ``recommend`` or ``serve`` on an artifact
+    holding ``document``; serving it would fail the test."""
+    artifact_path = tmp_path / "artifact.json"
+    artifact_path.write_bytes(document)
+    monkeypatch.delenv(filmrec.cli.BIND_ENV_VAR, raising=False)
+    monkeypatch.setattr(filmrec.cli, "serve", lambda *args: pytest.fail("served an unreadable artifact"))
+    extra = ["--user", "u1"] if command == "recommend" else []
+    return main([command, str(artifact_path), *extra]), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["recommend", "serve"])
+def test_undecodable_artifact_exits_two(tmp_path, capsys, monkeypatch, command):
+    code, err = artifact_command_outcome(tmp_path, capsys, monkeypatch, command, b"\xff\xfe{}")
+    assert code == 2
+    assert err.startswith("error: artifact is not valid UTF-8 JSON:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["recommend", "serve"])
+def test_deeply_nested_artifact_exits_two(tmp_path, capsys, monkeypatch, command):
+    code, err = artifact_command_outcome(tmp_path, capsys, monkeypatch, command, b"[" * 200_000 + b"]" * 200_000)
+    assert code == 2
+    assert err.startswith("error: artifact is not valid UTF-8 JSON:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["ingest", "run", "evaluate"])
+def test_undecodable_config_file_exits_two_before_reading_events(tmp_path, capsys, command):
+    conf = tmp_path / "bad.cfg"
+    conf.write_bytes(b"edge_threshold = \xff\n")
+    assert main([command, "--config", str(conf), str(tmp_path / "missing.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {conf} is not UTF-8:") and "Traceback" not in err
+
+
 def test_unknown_eval_method_exits_two(events_file, capsys):
     assert main(["evaluate", str(events_file), "--methods", "astrology"]) == 2
 
