@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .community import Clustering, modularity_score
-from .config import PipelineConfig, validate_config
+from .config import PipelineConfig
 from .errors import DataError, DomainError
 from .graph import CentralityTable, FilmGraph, build_graph
 from .profiles import PreferenceProfile
@@ -184,6 +184,9 @@ class PipelineArtifact:
         read = _read_v1_state if version == 1 else _read_v2_state
         try:
             config = PipelineConfig.from_dict(payload["config"])
+        except DomainError as exc:
+            raise DataError(f"artifact config: {exc}")
+        try:
             films = _film_ids(payload["films"], "films")
             values, components, assignment, profiles, stored = read(payload, films)
             created_at = payload["created_at"]
@@ -192,7 +195,7 @@ class PipelineArtifact:
         if not isinstance(created_at, str):
             raise DataError(f"artifact created_at is not a string: {created_at!r}")
         similarity = SimilarityMatrix(films, values)
-        _check_state(config, similarity, components, assignment, profiles)
+        _check_state(similarity, components, assignment, profiles)
         graph = build_graph(similarity, config.edge_threshold)
         centrality = CentralityTable.from_components(components)
         clustering = Clustering(assignment, modularity_score(graph, assignment))
@@ -201,7 +204,7 @@ class PipelineArtifact:
         return cls(version, config, similarity, graph, centrality, clustering, profiles, created_at)
 
     def validate(self) -> None:
-        """State checks only: the config passes ``validate_config``; the
+        """State checks only (the config checked itself when it was built): the
         similarity is symmetric, in [0, 1] and has a 0.0/1.0 diagonal; the
         films are distinct; the centrality components are floats in [0, 1];
         clustering and centrality cover exactly the film set with dense
@@ -209,7 +212,7 @@ class PipelineArtifact:
         once. The graph, the AC column and the modularity are derived from
         the state, so they are not rebuilt."""
         components = {film: (r.degree_c, r.closeness_c, r.betweenness_c) for film, r in self.centrality.rows.items()}
-        _check_state(self.config, self.similarity, components, self.clustering.assignment, self.profiles)
+        _check_state(self.similarity, components, self.clustering.assignment, self.profiles)
 
 
 def _check_keys(section: dict, allowed: set[str], what: str) -> None:
@@ -303,13 +306,7 @@ def _check_stored_copies(
         raise DataError(f"artifact modularity {modularity!r} is not the modularity of the stored partition")
 
 
-def _check_state(
-    config: PipelineConfig, similarity: SimilarityMatrix, components: dict, assignment: dict, profiles: dict
-) -> None:
-    try:
-        validate_config(config)
-    except DomainError as exc:
-        raise DataError(f"artifact config: {exc}")
+def _check_state(similarity: SimilarityMatrix, components: dict, assignment: dict, profiles: dict) -> None:
     values = similarity.values
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise DataError("artifact similarity has an entry that is not finite or outside [0, 1]")

@@ -24,7 +24,7 @@ from dataclasses import asdict, fields
 from . import evaluation
 from .artifact import PipelineArtifact
 from .community import write_clusters_csv
-from .config import PipelineConfig, read_config_file, validate_config
+from .config import PipelineConfig, read_config_file
 from .errors import FilmRecError
 from .graph import write_centrality_csv, write_edges_csv
 from .ingest import write_view_matrix_csv
@@ -77,14 +77,12 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    """The config file's values, overridden by the flags given, validated."""
+    """The config file's values, overridden by the flags given."""
     values = read_config_file(args.config) if args.config else {}
     for option in fields(PipelineConfig):
         if getattr(args, option.name) is not None:
             values[option.name] = getattr(args, option.name)
-    config = PipelineConfig.from_dict(values)
-    validate_config(config)
-    return config
+    return PipelineConfig.from_dict(values)
 
 
 def _dump(compute, writer):

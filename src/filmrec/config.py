@@ -4,8 +4,10 @@ Every defaulted modeling decision (clamping, averaging denominator, edge
 threshold, preference threshold, candidate eligibility) is a field of
 ``PipelineConfig``, so experiments can be declared rather than patched in
 code. The fields are the only declaration of an option: its name, type and
-default drive ``from_dict``, ``to_dict`` and the command-line flags. The file
-format is one ``key = value`` per line with ``#`` comments.
+default drive ``from_dict``, ``to_dict`` and the command-line flags. A
+``PipelineConfig`` checks its fields' types and ranges when it is built, so
+no caller validates one. The file format is one ``key = value`` per line; a
+``#`` starts a comment anywhere on a line, and a key may be given once.
 """
 
 from dataclasses import asdict, dataclass, field, fields
@@ -24,7 +26,12 @@ class PipelineConfig:
     """A field's ``help`` metadata is its command-line help; a bool field's
     flag sets the value opposite its default. Flags are listed in field
     order. ``from_dict`` and the CLI read ``Field.type`` as a class, so
-    this module does without ``from __future__ import annotations``."""
+    this module does without ``from __future__ import annotations``.
+
+    Construction (``dataclasses.replace`` too) refuses a field that is not
+    of its type (``_is_a``) or outside its range with ``DomainError``, and
+    stores a number in a float field as a float, so ``to_dict`` writes
+    ``0.0`` for a given ``0`` and a load/save cycle keeps the same text."""
 
     edge_threshold: float = 0.0
     averaging_policy: AveragingPolicy = AveragingPolicy.COMPARABLE_COUNT
@@ -35,23 +42,33 @@ class PipelineConfig:
         default=False, metadata={"help": "drop a user's non-preferred films from their candidate set"}
     )
 
-    def to_dict(self) -> dict:
-        """Field values as JSON gives them back: a number in a float field is
-        written as a float, so a load/save cycle keeps the same text."""
-        values = {**asdict(self), "averaging_policy": self.averaging_policy.value}
+    def __post_init__(self) -> None:
         for option in fields(self):
-            if option.type is float and _is_a(values[option.name], float):
-                values[option.name] = float(values[option.name])
-        return values
+            value = getattr(self, option.name)
+            if not _is_a(value, option.type):
+                raise DomainError(f"config {option.name}: expected {_expected(option.type)}, got {value!r}")
+        if not 0.0 <= self.edge_threshold <= 1.0:
+            raise DomainError(f"edge_threshold outside [0, 1]: {self.edge_threshold}")
+        if not 0.0 < self.preference_threshold < 1.0:
+            raise DomainError(f"preference_threshold outside (0, 1): {self.preference_threshold}")
+        # after the range checks, so an int too large for a float is refused above
+        for option in fields(self):
+            if option.type is float:
+                object.__setattr__(self, option.name, float(getattr(self, option.name)))
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "averaging_policy": self.averaging_policy.value}
 
     @classmethod
     def from_dict(cls, values: Mapping) -> "PipelineConfig":
+        """Text values are parsed as a config file gives them; any other
+        value goes to the constructor as it is."""
         types = {f.name: f.type for f in fields(cls)}
         parsed = {}
         for key, raw in values.items():
             if key not in types:
                 raise DataError(f"unknown config key: {key}")
-            parsed[key] = _typed(key, types[key], raw)
+            parsed[key] = _typed(key, types[key], raw) if isinstance(raw, str) else raw
         return cls(**parsed)
 
 
@@ -68,30 +85,31 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, numeric) and (kind is bool or not isinstance(value, bool))
 
 
-def _typed(key: str, kind: type, raw):
-    """``raw`` as a ``kind``. Text is parsed as a config file gives it; any
-    other value must already be a ``kind`` (see ``_is_a``)."""
+def _typed(key: str, kind: type, text: str):
+    """``text`` as a ``kind``, parsed as a config file gives it."""
     try:
-        if isinstance(raw, str):
-            text = raw.strip().lower()
-            return _BOOL_VALUES[text] if kind is bool else kind(text)
-        if _is_a(raw, kind):
-            return kind(raw)
+        value = text.strip().lower()
+        return _BOOL_VALUES[value] if kind is bool else kind(value)
     except (KeyError, ValueError):
-        pass
-    raise DataError(f"config {key}: expected {_expected(kind)}, got {raw!r}")
+        raise DataError(f"config {key}: expected {_expected(kind)}, got {text!r}")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """``key = value`` lines; a ``#`` starts a comment wherever it is, as no
+    value holds one. A key given twice is refused."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for line_number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise DataError(f"config line {line_number}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise DataError(f"config line {line_number}: {key} already set on line {lines[key]}")
+        values[key], lines[key] = value.strip(), line_number
     return values
 
 
@@ -106,15 +124,3 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 def load_config(path: str | Path) -> PipelineConfig:
     return PipelineConfig.from_dict(read_config_file(path))
 
-
-def validate_config(config: PipelineConfig) -> None:
-    """Each field holds a value of its type (``_is_a``) within its range.
-    The constructor checks nothing, so this runs before a config is used."""
-    for option in fields(config):
-        value = getattr(config, option.name)
-        if not _is_a(value, option.type):
-            raise DomainError(f"config {option.name}: expected {_expected(option.type)}, got {value!r}")
-    if not 0.0 <= config.edge_threshold <= 1.0:
-        raise DomainError(f"edge_threshold outside [0, 1]: {config.edge_threshold}")
-    if not 0.0 < config.preference_threshold < 1.0:
-        raise DomainError(f"preference_threshold outside (0, 1): {config.preference_threshold}")

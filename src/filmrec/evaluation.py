@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Protocol, TextIO
 import numpy as np
 
 from .community import louvain
-from .config import PipelineConfig, validate_config
+from .config import PipelineConfig
 from .errors import DomainError
 from .graph import CentralityTable, FilmGraph, build_graph
 from .ingest import ViewMatrix, ViewingEvent, ident_sort_key
@@ -97,7 +97,7 @@ def judge(rs_value: float, label: str) -> int:
 @dataclass(frozen=True)
 class EvalCase:
     """One test user: two held-out extremes per label plus the remaining
-    watched films (the observable context a policy may use)."""
+    watched films (the observable context a policy may use), in film order."""
 
     user_id: str
     held_preferred: tuple[str, str]
@@ -107,7 +107,8 @@ class EvalCase:
 
 def make_eval_case(user_id: str, views: Mapping[str, float]) -> EvalCase | None:
     """Build the held-out case, or None when the user watched fewer than
-    four films."""
+    four films. The context keeps the order of ``views``, which is film
+    order when they come from ``ViewMatrix.user_views``."""
     if len(views) < 4:
         return None
     # Only films at or beyond the second-highest and second-lowest pct can
@@ -249,7 +250,6 @@ class EgoGraphPolicy(CaseBatchPolicy):
     def __init__(self, **config):
         self.name = "ego_graph"
         self.config = PipelineConfig(**config)
-        validate_config(self.config)
         self.graph: FilmGraph | None = None
         self.centrality: CentralityTable | None = None
         self.similarity = None
@@ -267,9 +267,8 @@ class EgoGraphPolicy(CaseBatchPolicy):
     def _score_films(self, case: EvalCase, films: list[str]) -> list[float]:
         assert self.graph is not None and self.centrality is not None, "fit() first"
         threshold = self.config.preference_threshold
-        context = sorted(case.context, key=ident_sort_key)
-        prefs = [film for film in context if case.context[film] > threshold]
-        nonprefs = [film for film in context if case.context[film] <= threshold]
+        prefs = [film for film, pct in case.context.items() if pct > threshold]
+        nonprefs = [film for film, pct in case.context.items() if pct <= threshold]
         return score_candidates(self.graph, self.centrality, films, prefs, nonprefs)
 
 

@@ -304,7 +304,7 @@ def _fold(rows: Iterable[_Row], clamp: bool) -> ViewMatrix:
     by_user: dict[str, dict[str, float]] = {}
     excess = None
     for film, user, watch, total in rows:
-        ratio = watch / total
+        ratio = watch / total + 0.0  # a -0 watch time stores +0.0, whichever row comes first
         if ratio > 1.0:
             if not clamp:
                 excess = excess or (film, user, watch, total)

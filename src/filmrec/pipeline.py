@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .artifact import PipelineArtifact
 from .community import louvain
-from .config import PipelineConfig, validate_config
+from .config import PipelineConfig
 from .errors import DomainError, StageError
 from .graph import CentralityTable, FilmGraph, build_graph
 from .ingest import ViewMatrix, read_view_matrix
@@ -45,11 +45,10 @@ def load_view_matrix(events_path: str | Path, config: PipelineConfig, *, skip_ba
 
 
 def run_stages(view: ViewMatrix, config: PipelineConfig) -> Iterator[tuple[str, object]]:
-    """Validates the config, then runs similarity, graph, centrality, cluster
-    and profiles in that order, yielding ``(stage, output)`` after each. A
-    caller that stops asking stops the run: no later stage starts. Each
-    stage's INFO time and ``StageError`` cover that stage's own work only."""
-    validate_config(config)
+    """Runs similarity, graph, centrality, cluster and profiles in that
+    order, yielding ``(stage, output)`` after each. A caller that stops
+    asking stops the run: no later stage starts. Each stage's INFO time and
+    ``StageError`` cover that stage's own work only."""
     with _stage("similarity"):
         similarity = average_similarity(view, config.averaging_policy)
     yield "similarity", similarity

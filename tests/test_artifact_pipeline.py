@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -81,6 +83,44 @@ class TestConfig:
     def test_snapshot_writes_float_fields_as_floats(self):
         snapshot = PipelineConfig(edge_threshold=0, seed=3).to_dict()
         assert (type(snapshot["edge_threshold"]), type(snapshot["seed"])) == (float, int)
+
+    def test_replace_rechecks_the_ranges(self):
+        with pytest.raises(DomainError, match="edge_threshold outside"):
+            dataclasses.replace(PipelineConfig(), edge_threshold=2.0)
+
+    def test_int_in_a_float_field_is_stored_as_a_float(self):
+        assert type(PipelineConfig(edge_threshold=0).edge_threshold) is float
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [({"seed": 2.5}, "expected an integer"), ({"averaging_policy": 3}, "expected one of")],
+    )
+    def test_non_text_mistyped_value_is_refused_by_the_constructor(self, values, message):
+        with pytest.raises(DomainError, match=message):
+            PipelineConfig.from_dict(values)
+
+    def test_artifact_with_mistyped_config_fails_to_load(self, tmp_path, small_artifact):
+        path = tmp_path / "artifact.json"
+        payload = small_artifact.to_payload()
+        payload["config"]["seed"] = 2.5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="artifact config: config seed: expected an integer"):
+            PipelineArtifact.load(path)
+
+    def test_comment_may_follow_a_value(self):
+        values = parse_config_text("edge_threshold = 0.25  # minimum\nclamp = false#no clamping\n")
+        assert values == {"edge_threshold": "0.25", "clamp": "false"}
+
+    def test_readme_config_block_gives_the_defaults(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```$", text, flags=re.M | re.S)
+        block = next(block for block in blocks if block.startswith("# pipeline.conf"))
+        assert PipelineConfig.from_dict(parse_config_text(block)) == PipelineConfig()
+
+    def test_repeated_key_rejected_with_both_lines(self):
+        text = "edge_threshold = 0.3\nseed = 1\nedge_threshold = 0.5\n"
+        with pytest.raises(DataError, match="config line 3: edge_threshold already set on line 1"):
+            parse_config_text(text)
 
 
 class TestRunPipeline:

@@ -5,7 +5,7 @@ import random
 
 from filmrec import SyntheticSpec, generate_synthetic, split_users
 from filmrec.evaluation import TrainingArrays, eval_cases, view_to_events
-from filmrec.ingest import CSV_COLUMNS, read_view_matrix
+from filmrec.ingest import CSV_COLUMNS, read_view_matrix, write_view_matrix_csv
 
 
 def test_shuffled_events_give_the_same_reads_and_bit_identical_knn_cosines():
@@ -37,3 +37,17 @@ def test_shuffled_events_give_the_same_reads_and_bit_identical_knn_cosines():
     expected = cosine_bits(first)
     assert len(expected) == 60
     assert cosine_bits(second) == expected
+
+
+def test_negative_zero_watch_time_dumps_the_same_in_either_row_order():
+    """Rows of -0 s and 0 s for one cell compare equal either way, so only
+    the dump's bytes can show which sign was stored."""
+    header = ",".join(CSV_COLUMNS) + "\n"
+    rows = ["1,u1,-0,100\n", "1,u1,0,100\n"]
+
+    def dump(lines):
+        out = io.StringIO()
+        write_view_matrix_csv(read_view_matrix(io.StringIO(header + "".join(lines))), out)
+        return out.getvalue()
+
+    assert dump(rows) == dump(rows[::-1]) == "film_id,user_id,pct\r\n1,u1,0.0\r\n"
