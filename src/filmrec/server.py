@@ -16,18 +16,28 @@ stops writing and drops the rest of the upload for at most ``DRAIN_SECONDS``
 before it closes. A read that waits longer than ``READ_TIMEOUT_SECONDS``
 (headers or body) closes the connection without an answer.
 
-The threading server answers requests concurrently without locks. The only
-shared write is the graph's cached path-kernel result (``FilmGraph.paths``),
-made by the first personalized request: it is deterministic, so requests
+Each open connection has a handler thread of its own, so a stalled client
+holds up no other; a thread that finishes a connection waits for the next
+one instead of exiting (``HandlerReusingServer``). Requests read the artifact
+without locks. ``serve`` computes the graph's path-kernel result
+(``FilmGraph.paths``) before it accepts a connection, so on that path no
+request writes to the artifact. A server from ``create_server`` alone computes
+it on the first personalized request: it is deterministic, so requests
 racing on a freshly loaded artifact at worst repeat that one pass.
+
+A client that goes away mid-request is logged at DEBUG; any other failure
+of a connection is logged with its traceback at ERROR.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import queue
 import re
 import socket
+import sys
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
@@ -86,6 +96,8 @@ class ArtifactHandler(BaseHTTPRequestHandler):
             self._respond(404, {"error": f"no such endpoint: {path}"})
         except ValueError as exc:
             self._respond(400, {"error": str(exc)})
+        except ConnectionError:  # the client went away; there is no one to answer
+            raise
         except Exception:  # pragma: no cover - defensive
             logger.exception("request failed: %s", self.path)
             self._respond(500, {"error": "internal error"})
@@ -182,9 +194,68 @@ class ArtifactHandler(BaseHTTPRequestHandler):
         logger.debug("%s - %s", self.address_string(), format % args)
 
 
-def create_server(artifact: PipelineArtifact, host: str, port: int) -> ThreadingHTTPServer:
+class HandlerReusingServer(ThreadingHTTPServer):
+    """A threading HTTP server whose handler threads serve one connection
+    after another.
+
+    An accepted connection goes to an idle handler thread through a queue. A
+    new thread, started only when none is idle, is handed its first
+    connection directly, so every open connection still has a thread of its
+    own and concurrency is not capped. A thread that has finished a
+    connection counts itself idle and waits on the queue for the next one.
+    ``process_request`` takes one from the idle count for each connection it
+    queues, so every queued connection has a thread that will take it; a
+    thread about to mark itself idle is not counted yet, which can only start
+    a spare thread. The thread count is thus the most connections open at
+    once so far (plus any spares); it shrinks only at ``server_close``, which
+    stops the threads once their connections finish.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self._connections: queue.SimpleQueue = queue.SimpleQueue()
+        self._idle = 0
+        self._idle_lock = threading.Lock()
+        self._workers: list[threading.Thread] = []
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address):
+        with self._idle_lock:
+            start = self._idle == 0
+            if not start:
+                self._idle -= 1
+        if start:
+            worker = threading.Thread(
+                target=self._work, args=(request, client_address), name="filmrec-handler", daemon=self.daemon_threads
+            )
+            self._workers.append(worker)
+            worker.start()
+        else:
+            self._connections.put((request, client_address))
+
+    def _work(self, request, client_address) -> None:
+        while request is not None:
+            self.process_request_thread(request, client_address)
+            with self._idle_lock:
+                self._idle += 1
+            request, client_address = self._connections.get()
+
+    def server_close(self):
+        super().server_close()
+        for _ in self._workers:
+            self._connections.put((None, None))
+        for worker in self._workers:
+            worker.join()
+
+    def handle_error(self, request, client_address):
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            logger.debug("%s - connection lost", client_address[0], exc_info=True)
+        else:
+            logger.exception("%s - request failed", client_address[0])
+
+
+def create_server(artifact: PipelineArtifact, host: str, port: int) -> HandlerReusingServer:
     handler = type("BoundArtifactHandler", (ArtifactHandler,), {"artifact": artifact})
-    return ThreadingHTTPServer((host, port), handler)
+    return HandlerReusingServer((host, port), handler)
 
 
 def parse_bind(bind: str) -> tuple[str, int]:
@@ -200,6 +271,9 @@ def serve(artifact: PipelineArtifact, host: str, port: int) -> None:
     server = create_server(artifact, host, port)
     logger.info("serving on %s:%d", host, port)
     try:
+        start = time.perf_counter()
+        artifact.graph.paths()
+        logger.info("path kernel ready: %.1f ms", (time.perf_counter() - start) * 1e3)
         server.serve_forever()
     finally:
         server.server_close()

@@ -1,7 +1,10 @@
 import http.client
 import json
+import logging
 import random
 import socket
+import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -29,16 +32,28 @@ def artifact():
     return run_pipeline_from_view(view, PipelineConfig())
 
 
-@pytest.fixture(scope="module")
-def base_url(artifact):
+def serving(artifact):
+    """A server for ``artifact`` on a free port, its serving thread and its
+    base URL; stop both with ``stop``."""
     server = create_server(artifact, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
+    return server, thread, f"http://{host}:{port}"
+
+
+def stop(server, thread) -> None:
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.fixture(scope="module")
+def base_url(artifact):
+    server, thread, url = serving(artifact)
+    yield url
+    stop(server, thread)
 
 
 def get(url: str):
@@ -311,3 +326,101 @@ def test_chunked_bodies_get_411_and_close_without_a_reset(base_url):
         assert head.split(b"\r\n")[0].split()[1] == b"411"
         assert b"Connection: close" in head.split(b"\r\n")
         assert "Transfer-Encoding" in json.loads(payload)["error"]
+
+
+def reset(sock: socket.socket) -> None:
+    """Close with a TCP reset instead of an orderly shutdown."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+@pytest.mark.parametrize("request_start", ["full-request", "headers-never-finished"])
+def test_a_client_that_resets_is_not_a_server_error(artifact, caplog, capfd, request_start):
+    """A reset while the server reads or answers is logged at DEBUG only:
+    no ERROR record, nothing written straight to stderr, and the server
+    keeps answering."""
+    user = next(iter(artifact.profiles))
+    sent = {
+        "full-request": f"GET /v1/users/{user}/recommendations?k=5 HTTP/1.1\r\nHost: x\r\n\r\n".encode(),
+        "headers-never-finished": b"GET /v1/health HTTP/1.1\r\nHost: x",
+    }[request_start]
+    caplog.set_level(logging.DEBUG, logger="filmrec.server")
+    server, thread, base_url = serving(artifact)
+    try:
+        for _ in range(5):
+            sock = socket.create_connection(address(base_url), timeout=10)
+            sock.sendall(sent)
+            reset(sock)
+        assert get(f"{base_url}/v1/health")[0] == 200
+    finally:
+        stop(server, thread)  # server_close waits for every handler thread
+    assert [record for record in caplog.records if record.levelno >= logging.WARNING] == []
+    assert any(record.getMessage().endswith("connection lost") for record in caplog.records)
+    assert capfd.readouterr().err == ""
+
+
+def test_stalled_connections_do_not_hold_up_other_clients(base_url):
+    stalled = []
+    try:
+        for _ in range(20):
+            sock = socket.create_connection(address(base_url), timeout=10)
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost: x")
+            stalled.append(sock)
+            # Let the server's thread, which shares this process, accept it
+            # before socketserver's listen backlog of 5 fills.
+            time.sleep(0.01)
+        start = time.monotonic()
+        with urllib.request.urlopen(f"{base_url}/v1/health", timeout=5) as response:
+            assert response.status == 200
+        assert time.monotonic() - start < 1
+    finally:
+        for sock in stalled:
+            sock.close()
+
+
+def handler_threads() -> set[threading.Thread]:
+    return {thread for thread in threading.enumerate() if thread.name == "filmrec-handler"}
+
+
+def test_handler_threads_are_reused_then_stopped_at_close(artifact):
+    before = handler_threads()
+    server, thread, base_url = serving(artifact)
+    try:
+        statuses = [get(f"{base_url}/v1/health")[0] for _ in range(50)]
+        started = handler_threads() - before
+    finally:
+        stop(server, thread)
+    assert statuses == [200] * 50
+    assert 1 <= len(started) <= 2
+    deadline = time.monotonic() + 5
+    for worker in started:
+        worker.join(timeout=max(0.0, deadline - time.monotonic()))
+    assert not any(worker.is_alive() for worker in started)
+
+
+def test_the_idle_count_survives_many_concurrent_clients(artifact):
+    """Six clients at once with a short switch interval: every request is
+    answered, and once the handlers have finished every thread counts
+    itself idle exactly once, which a lost update of the count would break."""
+    server, thread, base_url = serving(artifact)
+    statuses: list[int] = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clients = [
+            threading.Thread(target=lambda: statuses.extend(get(f"{base_url}/v1/health")[0] for _ in range(30)))
+            for _ in range(6)
+        ]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(timeout=30)
+        assert not any(client.is_alive() for client in clients)
+        deadline = time.monotonic() + 5
+        while server._idle != len(server._workers) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server._idle == len(server._workers)
+    finally:
+        sys.setswitchinterval(interval)
+        stop(server, thread)
+    assert statuses == [200] * 180
