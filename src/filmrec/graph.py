@@ -86,6 +86,12 @@ class FilmGraph:
     def index(self, node: str) -> int:
         return self._order[node]
 
+    def positions(self, nodes: Iterable[str]) -> list[int]:
+        """Each node's index, in the order given; nodes outside the graph
+        are skipped."""
+        order = self._order
+        return [order[node] for node in nodes if node in order]
+
     def node_count(self) -> int:
         return len(self.nodes)
 

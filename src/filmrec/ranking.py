@@ -82,11 +82,10 @@ def score_candidates(
     score equals ``recommendation_score`` of the per-ego values bit for bit.
     With no ego in the graph every score is the int 0, as
     ``sum([]) - sum([])`` is."""
-    prefs = [g.index(ego) for ego in preferred if ego in g]
-    nonprefs = [g.index(ego) for ego in non_preferred if ego in g]
+    prefs, nonprefs = g.positions(preferred), g.positions(non_preferred)
     if not prefs and not nonprefs:
         return [0] * len(films)
-    hops = g.paths().hops[np.ix_([*prefs, *nonprefs], [g.index(film) for film in films])]
+    hops = g.paths().hops.take(prefs + nonprefs, axis=0).take([g.index(film) for film in films], axis=1)
     values = np.array([ac.ac(film) for film in films])
     terms = np.where(hops < 0, 0.0, values / np.maximum(hops, 1))
     # A side without egos adds up to 0.0. On the other side, sum's leading 0

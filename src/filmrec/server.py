@@ -18,12 +18,16 @@ before it closes. A read that waits longer than ``READ_TIMEOUT_SECONDS``
 
 Each open connection has a handler thread of its own, so a stalled client
 holds up no other; a thread that finishes a connection waits for the next
-one instead of exiting (``HandlerReusingServer``). Requests read the artifact
-without locks. ``serve`` computes the graph's path-kernel result
-(``FilmGraph.paths``) before it accepts a connection, so on that path no
-request writes to the artifact. A server from ``create_server`` alone computes
-it on the first personalized request: it is deterministic, so requests
-racing on a freshly loaded artifact at worst repeat that one pass.
+one instead of exiting (``HandlerReusingServer``). The listen backlog is the
+system's largest (``socket.SOMAXCONN``), so a burst of connects is queued
+rather than left to retry its handshake a second later.
+
+Requests read the artifact without locks. ``serve`` computes the graph's
+path-kernel result (``FilmGraph.paths``) before it accepts a connection, so
+on that path no request writes to the artifact. A server from
+``create_server`` alone computes it on the first personalized request: it is
+deterministic, so requests racing on a freshly loaded artifact at worst
+repeat that one pass.
 
 A client that goes away mid-request is logged at DEBUG; any other failure
 of a connection is logged with its traceback at ERROR.
@@ -72,6 +76,9 @@ def _parse_k(query: dict[str, list[str]]) -> int:
 class ArtifactHandler(BaseHTTPRequestHandler):
     artifact: PipelineArtifact  # set on the subclass by create_server
     timeout = READ_TIMEOUT_SECONDS  # socket timeout, set by StreamRequestHandler.setup
+    # Buffer the response, so its status line, headers and body leave in one
+    # write when http.server flushes after the request, not in two.
+    wbufsize = -1
 
     def do_GET(self):  # noqa: N802 (http.server API)
         parsed = urlparse(self.path)
@@ -132,6 +139,7 @@ class ArtifactHandler(BaseHTTPRequestHandler):
         """Answer with ``Connection: close``, stop writing, then drop input
         until EOF or for at most ``DRAIN_SECONDS``."""
         self._respond(status, {"error": message}, close=True)
+        self.wfile.flush()
         deadline = time.monotonic() + DRAIN_SECONDS
         try:
             self.connection.shutdown(socket.SHUT_WR)
@@ -191,7 +199,7 @@ class ArtifactHandler(BaseHTTPRequestHandler):
             self.wfile.write(body)
 
     def log_message(self, format, *args):  # noqa: A002 (http.server API)
-        logger.debug("%s - %s", self.address_string(), format % args)
+        logger.debug("%s - " + format, self.address_string(), *args)
 
 
 class HandlerReusingServer(ThreadingHTTPServer):
@@ -210,6 +218,8 @@ class HandlerReusingServer(ThreadingHTTPServer):
     once so far (plus any spares); it shrinks only at ``server_close``, which
     stops the threads once their connections finish.
     """
+
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, *args, **kwargs):
         self._connections: queue.SimpleQueue = queue.SimpleQueue()

@@ -122,6 +122,13 @@ def test_edge_to_an_unknown_node_is_a_domain_error(edge, unknown):
         FilmGraph(["a", "e"], [("a", "e", 0.5), edge])
 
 
+def test_positions_keep_the_given_order_and_skip_unknown_nodes():
+    g = FilmGraph(["10", "2", "x", "1"], [("10", "x", 0.5)])
+    assert g.positions(["1", "missing", "10", "1", "x"]) == [3, 0, 3, 2]
+    assert g.positions(node for node in ["2"]) == [1]
+    assert g.positions([]) == []
+
+
 class TestDegree:
     def test_star_center_is_maximal(self):
         assert degree_centrality(star(), "c") == 1.0

@@ -328,6 +328,40 @@ def test_chunked_bodies_get_411_and_close_without_a_reset(base_url):
         assert "Transfer-Encoding" in json.loads(payload)["error"]
 
 
+def test_each_response_leaves_in_one_write(base_url, artifact, monkeypatch):
+    """Status line, headers and body go out in one socket write instead of
+    the head and then the body, for answers and refusals alike."""
+    writes = []
+    for name in ("send", "sendall"):
+
+        def counted(sock, data, *args, _write=getattr(socket.socket, name)):
+            if threading.current_thread().name == "filmrec-handler":
+                writes.append(bytes(data))
+            return _write(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, name, counted)
+    user = next(u for u, p in artifact.profiles.items() if p.preferred)
+    requests = [
+        f"GET /v1/users/{user}/recommendations?k=3 HTTP/1.1\r\nHost: x\r\n\r\n",
+        f"GET /v1/films/{artifact.similarity.films[0]}/similar?k=3 HTTP/1.1\r\nHost: x\r\n\r\n",
+        "GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n",
+        "GET /nowhere HTTP/1.1\r\nHost: x\r\n\r\n",
+        "POST /v1/health HTTP/1.1\r\nHost: x\r\nContent-Length: many\r\n\r\n",
+    ]
+    for request in requests:
+        writes.clear()
+        with socket.create_connection(address(base_url), timeout=10) as sock:
+            sock.sendall(request.encode())
+            response = read_to_eof(sock)
+        assert writes == [response]
+
+
+def test_each_request_is_logged_at_debug(base_url, caplog):
+    caplog.set_level(logging.DEBUG, logger="filmrec.server")
+    assert get(f"{base_url}/v1/health")[0] == 200
+    assert '127.0.0.1 - "GET /v1/health HTTP/1.1" 200 -' in [record.getMessage() for record in caplog.records]
+
+
 def reset(sock: socket.socket) -> None:
     """Close with a TCP reset instead of an orderly shutdown."""
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
@@ -335,22 +369,34 @@ def reset(sock: socket.socket) -> None:
 
 
 @pytest.mark.parametrize("request_start", ["full-request", "headers-never-finished"])
-def test_a_client_that_resets_is_not_a_server_error(artifact, caplog, capfd, request_start):
+def test_a_client_that_resets_is_not_a_server_error(artifact, caplog, capfd, monkeypatch, request_start):
     """A reset while the server reads or answers is logged at DEBUG only:
     no ERROR record, nothing written straight to stderr, and the server
-    keeps answering."""
+    keeps answering. A recommendation is held until its client has reset,
+    so the server always answers a connection that is gone."""
     user = next(iter(artifact.profiles))
     sent = {
         "full-request": f"GET /v1/users/{user}/recommendations?k=5 HTTP/1.1\r\nHost: x\r\n\r\n".encode(),
         "headers-never-finished": b"GET /v1/health HTTP/1.1\r\nHost: x",
     }[request_start]
+    gates: list[threading.Event] = []
+
+    def held_recommend(*args):
+        # The newest gate opens only after the reset of the newest client,
+        # which is this request's client or a later one.
+        assert gates[-1].wait(timeout=10)
+        return recommend(*args)
+
+    monkeypatch.setattr("filmrec.server.recommend", held_recommend)
     caplog.set_level(logging.DEBUG, logger="filmrec.server")
     server, thread, base_url = serving(artifact)
     try:
         for _ in range(5):
+            gates.append(threading.Event())
             sock = socket.create_connection(address(base_url), timeout=10)
             sock.sendall(sent)
             reset(sock)
+            gates[-1].set()
         assert get(f"{base_url}/v1/health")[0] == 200
     finally:
         stop(server, thread)  # server_close waits for every handler thread
@@ -366,8 +412,8 @@ def test_stalled_connections_do_not_hold_up_other_clients(base_url):
             sock = socket.create_connection(address(base_url), timeout=10)
             sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost: x")
             stalled.append(sock)
-            # Let the server's thread, which shares this process, accept it
-            # before socketserver's listen backlog of 5 fills.
+            # Let the server's thread, which shares this process, accept it,
+            # so each stalled connection holds a handler thread of its own.
             time.sleep(0.01)
         start = time.monotonic()
         with urllib.request.urlopen(f"{base_url}/v1/health", timeout=5) as response:
@@ -375,6 +421,25 @@ def test_stalled_connections_do_not_hold_up_other_clients(base_url):
         assert time.monotonic() - start < 1
     finally:
         for sock in stalled:
+            sock.close()
+
+
+def test_a_burst_of_connects_is_queued_not_dropped(base_url):
+    """Thirty connects back to back, faster than the server's thread (which
+    shares this process) accepts them: each completes at once, with no SYN
+    retry a second later for a full listen backlog, and each gets a 200."""
+    connections = []
+    try:
+        for _ in range(30):
+            start = time.monotonic()
+            connections.append(socket.create_connection(address(base_url), timeout=10))
+            assert time.monotonic() - start < 0.5
+        for sock in connections:
+            sock.sendall(b"GET /v1/health HTTP/1.0\r\n\r\n")
+        for sock in connections:
+            assert read_to_eof(sock).split(b"\r\n")[0].split()[1] == b"200"
+    finally:
+        for sock in connections:
             sock.close()
 
 
