@@ -21,26 +21,19 @@ refuses a key outside the schema, a similarity entry that is not a JSON
 float, and a profile index that is not an integer, falls outside the film
 list or repeats, besides the state checks that ``validate`` repeats.
 
-Format 1 is still read, with every check it had, and the key and float
-checks above. It stores the full square matrix, films by id, the edges,
-the AC column and the modularity; load requires the stored copies to equal
-what it derives. ``to_payload``
-renders the state as a format-1 document, so ``payload_without_timestamp``
-keeps its shape and hash whichever format a file holds.
+Load reads format 2 only. An artifact is a cache: a file of any other
+version is refused, and ``filmrec run`` rebuilds it.
 
 Serialization is canonical (sorted keys, shortest-round-trip floats), so
 the same state always produces the same bytes and a load/save cycle is
-byte-identical. Readers refuse documents written by a newer format
-version, and versions below 1.
+byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -54,20 +47,19 @@ from .similarity import SimilarityMatrix
 
 FORMAT_VERSION = 2
 
-_DOCUMENT_KEYS = {
-    "format_version", "created_at", "config", "films", "similarity", "centrality", "clustering", "profiles"
-}
-# by format version, the keys a document and each of its fixed-key sections may hold
+# the keys a document and each of its fixed-key sections may hold
 _KEYS = {
-    1: {"document": _DOCUMENT_KEYS | {"edges"}, "clustering": {"assignment", "modularity"}},
-    2: {"document": _DOCUMENT_KEYS, "centrality": {"degree", "closeness", "betweenness"}, "clustering": {"assignment"}},
+    "document": {
+        "format_version", "created_at", "config", "films", "similarity", "centrality", "clustering", "profiles"
+    },
+    "centrality": {"degree", "closeness", "betweenness"},
+    "clustering": {"assignment"},
 }
 _PROFILE_KEYS = {"preferred", "non_preferred"}
 
 
 @dataclass(frozen=True)
 class PipelineArtifact:
-    format_version: int  # the version of the file it was loaded from; FORMAT_VERSION when built
     config: PipelineConfig
     similarity: SimilarityMatrix
     graph: FilmGraph
@@ -87,10 +79,12 @@ class PipelineArtifact:
         profiles: dict[str, PreferenceProfile],
     ) -> "PipelineArtifact":
         created = datetime.now(timezone.utc).isoformat()
-        return cls(FORMAT_VERSION, config, similarity, graph, centrality, clustering, profiles, created)
+        return cls(config, similarity, graph, centrality, clustering, profiles, created)
 
     def to_payload(self) -> dict:
-        """The artifact as a format-1 document, derived data included."""
+        """The artifact rendered in the shape of format 1, derived data
+        included. No reader accepts this document; it is the stable shape
+        that the payload hashes are taken of."""
         return {
             "format_version": 1,
             "created_at": self.created_at,
@@ -160,35 +154,35 @@ class PipelineArtifact:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PipelineArtifact":
-        """Read and check a format-1 or format-2 document's state and derive
-        the graph, the AC column and the modularity from it. A format-1
-        document's stored copies of these must equal what was derived."""
+        """Read and check a format-2 document's state and derive the graph,
+        the AC column and the modularity from it."""
         if not isinstance(payload, dict):
             raise DataError(f"artifact is not a JSON object: {type(payload).__name__}")
         version = payload.get("format_version")
         if not isinstance(version, int) or isinstance(version, bool):
             raise DataError("artifact missing integer format_version")
-        if version < 1:
-            raise DataError(f"artifact format_version {version} is below 1, the first version")
         if version > FORMAT_VERSION:
             raise DataError(
                 f"artifact format_version {version} is newer than supported {FORMAT_VERSION}"
             )
-        keys = _KEYS[version]
-        _check_keys(payload, keys["document"], "document")
+        if version < FORMAT_VERSION:
+            raise DataError(
+                f"artifact format_version {version} is older than supported {FORMAT_VERSION}; "
+                "rebuild it with `filmrec run`"
+            )
+        _check_keys(payload, _KEYS["document"], "document")
         for section in ("config", "centrality", "clustering", "profiles"):
             if not isinstance(payload.get(section), dict):
                 raise DataError(f"malformed artifact payload: {section} is not an object")
-            if section in keys:
-                _check_keys(payload[section], keys[section], section)
-        read = _read_v1_state if version == 1 else _read_v2_state
+            if section in _KEYS:
+                _check_keys(payload[section], _KEYS[section], section)
         try:
             config = PipelineConfig.from_dict(payload["config"])
         except DomainError as exc:
             raise DataError(f"artifact config: {exc}")
         try:
-            films = _film_ids(payload["films"], "films")
-            values, components, assignment, profiles, stored = read(payload, films)
+            films = _film_ids(payload["films"])
+            values, components, assignment, profiles = _read_state(payload, films)
             created_at = payload["created_at"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed artifact payload: {exc!r}")
@@ -199,9 +193,7 @@ class PipelineArtifact:
         graph = build_graph(similarity, config.edge_threshold)
         centrality = CentralityTable.from_components(components)
         clustering = Clustering(assignment, modularity_score(graph, assignment))
-        if stored is not None:
-            _check_stored_copies(*stored, graph, centrality, clustering)
-        return cls(version, config, similarity, graph, centrality, clustering, profiles, created_at)
+        return cls(config, similarity, graph, centrality, clustering, profiles, created_at)
 
     def validate(self) -> None:
         """State checks only (the config checked itself when it was built): the
@@ -220,56 +212,21 @@ def _check_keys(section: dict, allowed: set[str], what: str) -> None:
         raise DataError(f"artifact {what} has unknown key {min(section.keys() - allowed)!r}")
 
 
-def _check_floats(similarity: Iterable) -> None:
-    # np.array(..., float64) would take "0.5", true or 0 as a number
-    if not set(map(type, similarity)) <= {float}:
-        raise DataError("artifact similarity has an entry that is not a float")
-
-
-def _film_ids(value, what: str) -> tuple[str, ...]:
+def _film_ids(value) -> tuple[str, ...]:
     if not isinstance(value, list) or not set(map(type, value)) <= {str}:
-        raise DataError(f"artifact {what} is not a list of film ids")
+        raise DataError("artifact films is not a list of film ids")
     return tuple(value)
 
 
-def _profile_entries(payload: dict):
-    """Each user with the two lists of their profile entry."""
-    for user, entry in payload["profiles"].items():
-        what = f"profile for {user}"
-        if not isinstance(entry, dict):
-            raise DataError(f"artifact {what} is not an object")
-        _check_keys(entry, _PROFILE_KEYS, what)
-        yield user, what, entry["preferred"], entry["non_preferred"]
-
-
-def _read_v1_state(payload: dict, films: tuple[str, ...]):
-    """A format-1 document's state, and its stored edges, AC column and
-    modularity for ``_check_stored_copies``."""
-    rows = payload["similarity"]
-    values = np.array(rows, dtype=np.float64)
-    if values.shape != (len(films), len(films)):
-        raise DataError("similarity matrix shape does not match film list")
-    _check_floats(chain.from_iterable(rows))
-    components, stored_ac = {}, {}
-    for film, (d, c, b, avg) in payload["centrality"].items():
-        components[film] = (d, c, b)
-        stored_ac[film] = avg
-    assignment = dict(payload["clustering"]["assignment"])
-    profiles = {
-        user: PreferenceProfile(user, _film_ids(preferred, what), _film_ids(non_preferred, what))
-        for user, what, preferred, non_preferred in _profile_entries(payload)
-    }
-    stored = (payload["edges"], stored_ac, payload["clustering"]["modularity"])
-    return values, components, assignment, profiles, stored
-
-
-def _read_v2_state(payload: dict, films: tuple[str, ...]):
-    """A format-2 document's state, with films named by position."""
+def _read_state(payload: dict, films: tuple[str, ...]):
+    """The document's state, with films named by position."""
     count = len(films)
     upper = payload["similarity"]
     if not isinstance(upper, list) or len(upper) != count * (count + 1) // 2:
         raise DataError("artifact similarity is not the upper triangle of a film-by-film matrix")
-    _check_floats(upper)
+    # np.array(..., float64) would take "0.5", true or 0 as a number
+    if not set(map(type, upper)) <= {float}:
+        raise DataError("artifact similarity has an entry that is not a float")
     values = np.empty((count, count))
     rows, cols = np.triu_indices(count)
     values[rows, cols] = values[cols, rows] = np.array(upper, dtype=np.float64)
@@ -280,11 +237,16 @@ def _read_v2_state(payload: dict, films: tuple[str, ...]):
     assignment = payload["clustering"]["assignment"]
     if not isinstance(assignment, list) or len(assignment) != count:
         raise DataError("artifact clustering does not hold one cluster id per film")
-    profiles = {
-        user: PreferenceProfile(user, _films_at(preferred, films, what), _films_at(non_preferred, films, what))
-        for user, what, preferred, non_preferred in _profile_entries(payload)
-    }
-    return values, components, dict(zip(films, assignment)), profiles, None
+    profiles = {}
+    for user, entry in payload["profiles"].items():
+        what = f"profile for {user}"
+        if not isinstance(entry, dict):
+            raise DataError(f"artifact {what} is not an object")
+        _check_keys(entry, _PROFILE_KEYS, what)
+        profiles[user] = PreferenceProfile(
+            user, _films_at(entry["preferred"], films, what), _films_at(entry["non_preferred"], films, what)
+        )
+    return values, components, dict(zip(films, assignment)), profiles
 
 
 def _films_at(value, films: tuple[str, ...], what: str) -> tuple[str, ...]:
@@ -293,17 +255,6 @@ def _films_at(value, films: tuple[str, ...], what: str) -> tuple[str, ...]:
     if value and not (0 <= min(value) and max(value) < len(films)):
         raise DataError(f"artifact {what} names a film index outside the film list")
     return tuple(map(films.__getitem__, value))
-
-
-def _check_stored_copies(
-    edges, avg_c: dict, modularity, graph: FilmGraph, centrality: CentralityTable, clustering: Clustering
-) -> None:
-    if edges != [[a, b, weight] for a, b, weight in graph.edges()]:
-        raise DataError("artifact graph does not match similarity matrix and threshold")
-    if avg_c != {film: row.avg_c for film, row in centrality.rows.items()}:
-        raise DataError("artifact average-centrality column is not the mean of the stored components")
-    if not isinstance(modularity, float) or modularity != clustering.modularity:
-        raise DataError(f"artifact modularity {modularity!r} is not the modularity of the stored partition")
 
 
 def _check_state(similarity: SimilarityMatrix, components: dict, assignment: dict, profiles: dict) -> None:

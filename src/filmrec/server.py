@@ -46,7 +46,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
-from .artifact import PipelineArtifact
+from .artifact import FORMAT_VERSION, PipelineArtifact
 from .errors import DomainError
 from .pipeline import is_cold_start, recommend
 
@@ -164,7 +164,7 @@ class ArtifactHandler(BaseHTTPRequestHandler):
     def _health(self) -> dict:
         return {
             "status": "ok",
-            "format_version": self.artifact.format_version,
+            "format_version": FORMAT_VERSION,
             "films": len(self.artifact.similarity.films),
             "users": len(self.artifact.profiles),
             "created_at": self.artifact.created_at,

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 import filmrec.graph
 from filmrec import (
+    CentralityTable,
     DataError,
     DomainError,
     EgoGraphPolicy,
     PipelineArtifact,
     PipelineConfig,
+    SimilarityMatrix,
     StageError,
     SyntheticSpec,
     ViewMatrix,
@@ -51,6 +53,19 @@ def events_file(tmp_path, small_view):
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def saved_document(tmp_path, artifact) -> dict:
+    """The format-2 document that ``save`` writes for ``artifact``."""
+    path = tmp_path / "saved.json"
+    artifact.save(path)
+    return json.loads(path.read_text())
+
+
+def load_document(tmp_path, document) -> PipelineArtifact:
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(document))
+    return PipelineArtifact.load(path)
 
 
 class TestConfig:
@@ -100,12 +115,10 @@ class TestConfig:
             PipelineConfig.from_dict(values)
 
     def test_artifact_with_mistyped_config_fails_to_load(self, tmp_path, small_artifact):
-        path = tmp_path / "artifact.json"
-        payload = small_artifact.to_payload()
-        payload["config"]["seed"] = 2.5
-        path.write_text(json.dumps(payload))
+        document = saved_document(tmp_path, small_artifact)
+        document["config"]["seed"] = 2.5
         with pytest.raises(DataError, match="artifact config: config seed: expected an integer"):
-            PipelineArtifact.load(path)
+            load_document(tmp_path, document)
 
     def test_comment_may_follow_a_value(self):
         values = parse_config_text("edge_threshold = 0.25  # minimum\nclamp = false#no clamping\n")
@@ -238,141 +251,122 @@ class TestArtifactSerialization:
         assert a.read_bytes() == b.read_bytes()
 
     def test_newer_version_refused(self, tmp_path, small_artifact):
-        path = tmp_path / "artifact.json"
-        payload = small_artifact.to_payload()
-        payload["format_version"] = 99
-        path.write_text(json.dumps(payload))
+        document = saved_document(tmp_path, small_artifact)
+        document["format_version"] = 99
         with pytest.raises(DataError, match="newer"):
-            PipelineArtifact.load(path)
+            load_document(tmp_path, document)
 
-    def test_tampered_graph_rejected(self, tmp_path, small_artifact):
-        path = tmp_path / "artifact.json"
-        payload = small_artifact.to_payload()
-        payload["edges"] = payload["edges"][:-1]  # drop one edge
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="graph"):
-            PipelineArtifact.load(path)
-
-    def test_tampered_centrality_rejected(self, tmp_path, small_artifact):
-        path = tmp_path / "artifact.json"
-        payload = small_artifact.to_payload()
-        film = next(iter(payload["centrality"]))
-        payload["centrality"][film][3] += 0.1
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="centrality"):
-            PipelineArtifact.load(path)
+    def test_format_one_document_is_refused(self, tmp_path, small_artifact):
+        with pytest.raises(DataError, match="format_version 1 .*rebuild it with `filmrec run`"):
+            load_document(tmp_path, small_artifact.to_payload())
 
     @staticmethod
-    def _top_preferred(payload):
-        for entry in payload["profiles"].values():
-            if entry["preferred"]:
-                return entry["preferred"][0]
-        raise AssertionError("no user prefers anything")
-
-    def _corrupt(self, payload, corruption):
-        top = self._top_preferred(payload)
-        assignment = payload["clustering"]["assignment"]
+    def _corrupt_state(artifact, corruption):
+        """``artifact`` with one part of its state replaced."""
+        films, assignment = artifact.similarity.films, artifact.clustering.assignment
+        rows, profiles = artifact.centrality.rows, artifact.profiles
+        similarity_cell = {
+            "similarity_negative": (1, 2, -0.5),
+            "similarity_above_one": (1, 2, 1.5),
+            "similarity_nan": (1, 2, float("nan")),
+            "similarity_inf": (1, 2, float("inf")),
+            "similarity_fractional_diagonal": (0, 0, 0.5),
+        }
+        if corruption in similarity_cell:
+            i, j, value = similarity_cell[corruption]
+            values = artifact.similarity.values.copy()
+            values[i, j] = values[j, i] = value
+            return dataclasses.replace(artifact, similarity=SimilarityMatrix(films, values))
+        if corruption == "repeated_film":
+            renamed = SimilarityMatrix((*films[:-1], films[0]), artifact.similarity.values)
+            return dataclasses.replace(artifact, similarity=renamed)
+        cluster_id = {"sparse_cluster_ids": 99, "cluster_id_float": 0.0, "cluster_id_bool": False}
+        if corruption in cluster_id:
+            film = next(f for f in films if assignment[f] == 0)
+            clustering = dataclasses.replace(artifact.clustering, assignment={**assignment, film: cluster_id[corruption]})
+            return dataclasses.replace(artifact, clustering=clustering)
+        component = {
+            "centrality_component_above_one": ("closeness_c", 1.5),
+            "centrality_component_negative": ("betweenness_c", -0.1),
+            "centrality_component_nan": ("degree_c", float("nan")),
+            "centrality_component_int": ("degree_c", 1),
+        }
+        if corruption in component:
+            name, value = component[corruption]
+            row = dataclasses.replace(rows[films[0]], **{name: value})
+            return dataclasses.replace(artifact, centrality=CentralityTable({**rows, films[0]: row}))
+        if corruption in ("profile_film_twice_in_one_list", "profile_film_in_both_lists"):
+            user, profile = next((u, p) for u, p in profiles.items() if p.preferred)
+            top = profile.preferred[0]
+            if corruption == "profile_film_twice_in_one_list":
+                profile = dataclasses.replace(profile, preferred=(*profile.preferred, top))
+            else:
+                profile = dataclasses.replace(profile, non_preferred=(*profile.non_preferred, top))
+            return dataclasses.replace(artifact, profiles={**profiles, user: profile})
         if corruption == "phantom_clustered_film":
-            assignment["phantom"] = assignment[top]
-        elif corruption == "missing_clustered_film":
-            del assignment[next(film for film in assignment if film != top)]
-        elif corruption == "sparse_cluster_ids":
-            assignment[top] = max(assignment.values()) + 5
-        elif corruption == "phantom_centrality_film":
-            payload["centrality"]["phantom"] = payload["centrality"][top]
-        elif corruption == "missing_centrality_film":
-            del payload["centrality"][top]
-        elif corruption == "phantom_profile_film":
-            user = next(iter(payload["profiles"]))
-            payload["profiles"][user]["non_preferred"].append("phantom")
-        elif corruption == "profile_film_in_both_lists":
-            entry = next(e for e in payload["profiles"].values() if top in e["preferred"])
-            entry["non_preferred"].append(top)
-        elif corruption == "profile_film_twice_in_one_list":
-            entry = next(e for e in payload["profiles"].values() if top in e["preferred"])
-            entry["preferred"].append(top)
-        elif corruption == "repeated_film":
-            # film "1" named again in place of film "12": the similarity shape still matches
-            payload["films"][-1] = payload["films"][0]
+            clustering = dataclasses.replace(artifact.clustering, assignment={**assignment, "phantom": 0})
+            return dataclasses.replace(artifact, clustering=clustering)
+        if corruption == "missing_clustered_film":
+            clustering = dataclasses.replace(artifact.clustering, assignment={f: assignment[f] for f in films[1:]})
+            return dataclasses.replace(artifact, clustering=clustering)
+        if corruption == "phantom_centrality_film":
+            return dataclasses.replace(artifact, centrality=CentralityTable({**rows, "phantom": rows[films[0]]}))
+        if corruption == "missing_centrality_film":
+            return dataclasses.replace(artifact, centrality=CentralityTable({f: rows[f] for f in films[1:]}))
+        if corruption == "phantom_profile_film":
+            user, profile = next(iter(profiles.items()))
+            profile = dataclasses.replace(profile, non_preferred=(*profile.non_preferred, "phantom"))
+            return dataclasses.replace(artifact, profiles={**profiles, user: profile})
+        if corruption == "similarity_asymmetric":
+            values = artifact.similarity.values.copy()
+            values[2, 1] = values[1, 2] / 2
+            return dataclasses.replace(artifact, similarity=SimilarityMatrix(films, values))
+        raise AssertionError(corruption)
 
     @pytest.mark.parametrize(
         "corruption, message",
         [
-            ("phantom_clustered_film", "clustering"),
-            ("missing_clustered_film", "clustering"),
-            ("sparse_cluster_ids", "cluster ids"),
-            ("phantom_centrality_film", "centrality"),
-            ("missing_centrality_film", "centrality"),
-            ("phantom_profile_film", "profile"),
-            ("profile_film_in_both_lists", "names a film twice"),
-            ("profile_film_twice_in_one_list", "names a film twice"),
+            ("phantom_clustered_film", "artifact clustering does not cover exactly the film set"),
+            ("missing_clustered_film", "artifact clustering does not cover exactly the film set"),
+            ("phantom_centrality_film", "artifact centrality table does not cover exactly the film set"),
+            ("missing_centrality_film", "artifact centrality table does not cover exactly the film set"),
+            ("phantom_profile_film", "artifact profile for .* names films outside the film set"),
+            ("similarity_asymmetric", "artifact similarity is not symmetric"),
+        ],
+    )
+    def test_validate_rejects_state_no_document_can_hold(self, small_artifact, corruption, message):
+        """A format-2 document names films by position and stores one
+        triangle of the similarity, so these fail only through ``validate``."""
+        small_artifact.validate()
+        with pytest.raises(DataError, match=message):
+            self._corrupt_state(small_artifact, corruption).validate()
+
+    @pytest.mark.parametrize(
+        "corruption, message",
+        [
+            ("similarity_negative", "artifact similarity has an entry that is not finite or outside \\[0, 1\\]"),
+            ("similarity_above_one", "artifact similarity has an entry that is not finite or outside \\[0, 1\\]"),
+            ("similarity_nan", "artifact similarity has an entry that is not finite or outside \\[0, 1\\]"),
+            ("similarity_inf", "artifact similarity has an entry that is not finite or outside \\[0, 1\\]"),
+            ("similarity_fractional_diagonal", "artifact similarity diagonal holds a value other than 0.0 or 1.0"),
             ("repeated_film", "artifact films name 1 twice"),
+            ("sparse_cluster_ids", "artifact cluster ids are not integers dense from 0"),
+            ("cluster_id_float", "artifact cluster ids are not integers dense from 0"),
+            ("cluster_id_bool", "artifact cluster ids are not integers dense from 0"),
+            ("centrality_component_above_one", "artifact centrality row for 1 has a component outside \\[0, 1\\]"),
+            ("centrality_component_negative", "artifact centrality row for 1 has a component outside \\[0, 1\\]"),
+            ("centrality_component_nan", "artifact centrality row for 1 has a component outside \\[0, 1\\]"),
+            ("centrality_component_int", "artifact centrality row for 1 has a component outside \\[0, 1\\]"),
+            ("profile_film_twice_in_one_list", "artifact profile for .* names a film twice"),
+            ("profile_film_in_both_lists", "artifact profile for .* names a film twice"),
         ],
     )
-    def test_film_set_mismatch_rejected(self, tmp_path, small_artifact, corruption, message):
-        path = tmp_path / "artifact.json"
-        payload = small_artifact.to_payload()
-        self._corrupt(payload, corruption)
-        path.write_text(json.dumps(payload))
+    def test_validate_repeats_the_state_checks_of_load(self, small_artifact, corruption, message):
+        """Each state rule that a loaded document must meet fails through
+        ``validate`` on a built artifact too."""
+        small_artifact.validate()
         with pytest.raises(DataError, match=message):
-            PipelineArtifact.load(path)
-
-    @staticmethod
-    def _corrupt_value(payload, corruption):
-        films = payload["films"]
-        similarity = payload["similarity"]
-        if corruption == "similarity_diagonal_7":
-            similarity[0][0] = 7.0
-        elif corruption == "similarity_off_graph_negative":
-            # both mirror cells, and the edge dropped, so the stored graph
-            # still equals the one the similarity and threshold produce
-            similarity[0][1] = similarity[1][0] = -3.0
-            payload["edges"] = [e for e in payload["edges"] if {e[0], e[1]} != {films[0], films[1]}]
-        elif corruption == "similarity_nan":
-            similarity[2][2] = float("nan")
-        elif corruption == "similarity_inf":
-            similarity[1][2] = similarity[2][1] = float("inf")
-        elif corruption == "similarity_asymmetric":
-            similarity[2][1] = similarity[1][2] / 2  # the graph reads only the upper triangle
-        elif corruption == "similarity_fractional_diagonal":
-            similarity[0][0] = 0.5
-        elif corruption == "modularity_nan":
-            payload["clustering"]["modularity"] = float("nan")
-        elif corruption == "modularity_string":
-            payload["clustering"]["modularity"] = "x"
-        elif corruption == "modularity_1.5":
-            payload["clustering"]["modularity"] = 1.5
-        elif corruption == "modularity_plus_1e-3":
-            payload["clustering"]["modularity"] += 1e-3
-        elif corruption == "centrality_component_above_one":
-            payload["centrality"][films[0]][1] = 1.5
-        elif corruption == "centrality_component_nan":
-            payload["centrality"][films[0]][0] = float("nan")
-
-    @pytest.mark.parametrize(
-        "corruption, message",
-        [
-            ("similarity_diagonal_7", "similarity"),
-            ("similarity_off_graph_negative", "similarity"),
-            ("similarity_nan", "similarity"),
-            ("similarity_inf", "similarity"),
-            ("similarity_asymmetric", "symmetric"),
-            ("similarity_fractional_diagonal", "diagonal"),
-            ("modularity_nan", "modularity"),
-            ("modularity_string", "modularity"),
-            ("modularity_1.5", "modularity"),
-            ("modularity_plus_1e-3", "modularity"),
-            ("centrality_component_above_one", "centrality"),
-            ("centrality_component_nan", "centrality"),
-        ],
-    )
-    def test_out_of_range_value_rejected(self, tmp_path, small_artifact, corruption, message):
-        path = tmp_path / "artifact.json"
-        payload = small_artifact.to_payload()
-        self._corrupt_value(payload, corruption)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match=message):
-            PipelineArtifact.load(path)
+            self._corrupt_state(small_artifact, corruption).validate()
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -380,23 +374,26 @@ class TestArtifactSerialization:
             ("format_version", True, "format_version"),
             ("format_version", 0, "format_version 0 "),
             ("format_version", -7, "format_version -7 "),
+            ("format_version", 1, "format_version 1 .*rebuild it with `filmrec run`"),
+            ("format_version", 3, "format_version 3 is newer than supported 2"),
+            ("format_version", "2", "missing integer format_version"),
+            ("format_version", 2.0, "missing integer format_version"),
+            ("format_version", None, "missing integer format_version"),
             ("created_at", [], "created_at"),
             ("created_at", None, "created_at"),
             ("created_at", 1, "created_at"),
         ],
     )
     def test_mistyped_header_field_rejected(self, tmp_path, small_artifact, field, value, message):
-        path = tmp_path / "artifact.json"
-        payload = small_artifact.to_payload()
-        payload[field] = value
-        path.write_text(json.dumps(payload))
+        document = saved_document(tmp_path, small_artifact)
+        document[field] = value
         with pytest.raises(DataError, match=message):
-            PipelineArtifact.load(path)
+            load_document(tmp_path, document)
 
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("preferred", "12", "profile"),  # a string iterates as the films "1" and "2"
+            ("preferred", "12", "profile"),  # a string iterates, but is not a list
             ("preferred", {"1": 0}, "profile"),
             ("non_preferred", "3", "profile"),
             ("cluster", False, "cluster id"),
@@ -406,28 +403,16 @@ class TestArtifactSerialization:
         ],
     )
     def test_mistyped_profile_or_cluster_field_rejected(self, tmp_path, small_artifact, field, value, message):
-        path = tmp_path / "artifact.json"
-        payload = small_artifact.to_payload()
+        document = saved_document(tmp_path, small_artifact)
         if field == "cluster":
-            assignment = payload["clustering"]["assignment"]
+            assignment = document["clustering"]["assignment"]
             # a film whose cluster id equals the value, so the ids stay dense
-            assignment[next(film for film, cluster in assignment.items() if cluster == value)] = value
+            assignment[assignment.index(value)] = value
         else:
-            user = next(user for user, entry in payload["profiles"].items() if entry["preferred"])
-            payload["profiles"][user][field] = value
-        path.write_text(json.dumps(payload))
+            user = next(user for user, entry in document["profiles"].items() if entry["preferred"])
+            document["profiles"][user][field] = value
         with pytest.raises(DataError, match=message):
-            PipelineArtifact.load(path)
-
-    @pytest.mark.parametrize("bad_edge", ["weight_1.5", "self_loop"])
-    def test_bad_stored_edge_rejected(self, tmp_path, small_artifact, bad_edge):
-        path = tmp_path / "artifact.json"
-        payload = small_artifact.to_payload()
-        a, b, weight = payload["edges"][0]
-        payload["edges"][0] = [a, b, 1.5] if bad_edge == "weight_1.5" else [a, a, weight]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="graph"):
-            PipelineArtifact.load(path)
+            load_document(tmp_path, document)
 
     def test_load_builds_one_graph_and_validate_none(self, tmp_path, small_artifact, monkeypatch):
         path = tmp_path / "artifact.json"
@@ -468,13 +453,14 @@ class TestArtifactSerialization:
         with pytest.raises(DataError, match="JSON"):
             PipelineArtifact.load(path)
 
-    def test_missing_sections_rejected(self, tmp_path, small_artifact):
-        path = tmp_path / "artifact.json"
-        payload = small_artifact.to_payload()
-        del payload["centrality"]
-        path.write_text(json.dumps(payload))
+    @pytest.mark.parametrize(
+        "section", ["created_at", "config", "films", "similarity", "centrality", "clustering", "profiles"]
+    )
+    def test_missing_sections_rejected(self, tmp_path, small_artifact, section):
+        document = saved_document(tmp_path, small_artifact)
+        del document[section]
         with pytest.raises(DataError, match="malformed"):
-            PipelineArtifact.load(path)
+            load_document(tmp_path, document)
 
     @pytest.mark.parametrize("document", ["[]", "null", "1", '"x"'])
     def test_non_object_document_rejected(self, tmp_path, document):
@@ -485,12 +471,10 @@ class TestArtifactSerialization:
 
     @pytest.mark.parametrize("section", ["config", "centrality", "clustering", "profiles"])
     def test_list_section_rejected(self, tmp_path, small_artifact, section):
-        path = tmp_path / "artifact.json"
-        payload = small_artifact.to_payload()
-        payload[section] = []
-        path.write_text(json.dumps(payload))
+        document = saved_document(tmp_path, small_artifact)
+        document[section] = []
         with pytest.raises(DataError, match="malformed"):
-            PipelineArtifact.load(path)
+            load_document(tmp_path, document)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -505,12 +489,10 @@ class TestArtifactSerialization:
         ],
     )
     def test_out_of_domain_config_rejected(self, tmp_path, small_artifact, key, value):
-        path = tmp_path / "artifact.json"
-        payload = small_artifact.to_payload()
-        payload["config"][key] = value
-        path.write_text(json.dumps(payload))
+        document = saved_document(tmp_path, small_artifact)
+        document["config"][key] = value
         with pytest.raises(DataError, match=key):
-            PipelineArtifact.load(path)
+            load_document(tmp_path, document)
 
 
 def canonical(document) -> str:
@@ -520,20 +502,8 @@ def canonical(document) -> str:
 class TestFormatTwo:
     """The saved document holds only state, with films named by position."""
 
-    @staticmethod
-    def saved(tmp_path, artifact) -> dict:
-        path = tmp_path / "saved.json"
-        artifact.save(path)
-        return json.loads(path.read_text())
-
-    @staticmethod
-    def load(tmp_path, document):
-        path = tmp_path / "artifact.json"
-        path.write_text(json.dumps(document))
-        return PipelineArtifact.load(path)
-
     def test_saved_document_holds_only_the_state(self, tmp_path, small_artifact):
-        document = self.saved(tmp_path, small_artifact)
+        document = saved_document(tmp_path, small_artifact)
         films = small_artifact.similarity.films
         assert document["format_version"] == 2
         assert set(document) == {
@@ -550,12 +520,6 @@ class TestFormatTwo:
         path = tmp_path / "saved.json"
         small_artifact.save(path)
         assert 2 * len(path.read_text()) < len(canonical(small_artifact.to_payload()))
-
-    def test_load_reports_the_version_of_the_file(self, tmp_path, small_artifact):
-        path = tmp_path / "saved.json"
-        small_artifact.save(path)
-        assert PipelineArtifact.load(path).format_version == 2
-        assert self.load(tmp_path, small_artifact.to_payload()).format_version == 1
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -598,6 +562,12 @@ class TestFormatTwo:
             similarity[1] = -0.5
         elif corruption == "similarity_nan":
             similarity[1] = float("nan")
+        elif corruption == "similarity_nan_on_diagonal":
+            similarity[0] = float("nan")
+        elif corruption == "similarity_inf":
+            similarity[1] = float("inf")
+        elif corruption == "similarity_diagonal_7":
+            similarity[0] = 7.0
         elif corruption == "similarity_fractional_diagonal":
             similarity[0] = 0.5
         elif corruption == "profile_index_bool":
@@ -638,6 +608,8 @@ class TestFormatTwo:
             document["centrality"]["degree"][0] = "0.5"
         elif corruption == "centrality_component_above_one":
             document["centrality"]["betweenness"][0] = 1.5
+        elif corruption == "centrality_component_nan":
+            document["centrality"]["degree"][0] = float("nan")
         elif corruption == "assignment_short":
             document["clustering"]["assignment"].pop()
         elif corruption == "assignment_bool":
@@ -661,6 +633,9 @@ class TestFormatTwo:
             ("similarity_square", "upper triangle"),
             ("similarity_negative", "outside \\[0, 1\\]"),
             ("similarity_nan", "not finite"),
+            ("similarity_nan_on_diagonal", "not finite"),
+            ("similarity_inf", "not finite"),
+            ("similarity_diagonal_7", "outside \\[0, 1\\]"),
             ("similarity_fractional_diagonal", "diagonal"),
             ("profile_index_bool", "not a list of film indices"),
             ("profile_index_float", "not a list of film indices"),
@@ -681,6 +656,7 @@ class TestFormatTwo:
             ("centrality_column_short", "centrality does not hold one row per film"),
             ("centrality_component_text", "centrality row"),
             ("centrality_component_above_one", "centrality row"),
+            ("centrality_component_nan", "centrality row"),
             ("assignment_short", "one cluster id per film"),
             ("assignment_bool", "cluster ids"),
             ("assignment_sparse", "cluster ids"),
@@ -689,68 +665,10 @@ class TestFormatTwo:
         ],
     )
     def test_single_field_corruption_rejected(self, tmp_path, small_artifact, corruption, message):
-        document = self.saved(tmp_path, small_artifact)
+        document = saved_document(tmp_path, small_artifact)
         self._corrupt(document, corruption)
         with pytest.raises(DataError, match=message):
-            self.load(tmp_path, document)
-
-    @pytest.mark.parametrize("cell", ["0.5", True, 0])
-    def test_non_float_similarity_cell_in_format_one_document_rejected(self, tmp_path, small_artifact, cell):
-        payload = small_artifact.to_payload()
-        payload["similarity"][0][1] = cell
-        with pytest.raises(DataError, match="similarity has an entry that is not a float"):
-            self.load(tmp_path, payload)
-
-    @pytest.mark.parametrize("where", ["document", "clustering", "profile"])
-    def test_unknown_key_in_format_one_document_rejected(self, tmp_path, small_artifact, where):
-        payload = small_artifact.to_payload()
-        section = {
-            "document": payload,
-            "clustering": payload["clustering"],
-            "profile": next(iter(payload["profiles"].values())),
-        }[where]
-        section["bogus"] = 1
-        with pytest.raises(DataError, match="unknown key 'bogus'"):
-            self.load(tmp_path, payload)
-
-
-V1_FIXTURE = Path(__file__).parent / "data" / "artifact_v1.json"
-
-
-class TestFormatOneFixture:
-    """``data/artifact_v1.json`` was written by the format-1 writer from
-    ``SyntheticSpec(film_count=8, user_count=20, seed=3)`` at
-    ``edge_threshold`` 0.3."""
-
-    @staticmethod
-    def built():
-        view = generate_synthetic(SyntheticSpec(film_count=8, user_count=20, seed=3))
-        return run_pipeline_from_view(view, PipelineConfig(edge_threshold=0.3))
-
-    def test_loads_to_the_state_the_pipeline_builds(self):
-        loaded = PipelineArtifact.load(V1_FIXTURE)
-        assert loaded.format_version == 1
-        assert loaded.payload_without_timestamp() == self.built().payload_without_timestamp()
-        # to_payload still renders exactly what the format-1 writer wrote
-        assert canonical(loaded.to_payload()) == V1_FIXTURE.read_text(encoding="utf-8")
-
-    def test_save_writes_format_two_of_the_same_state(self, tmp_path):
-        loaded = PipelineArtifact.load(V1_FIXTURE)
-        path = tmp_path / "resaved.json"
-        loaded.save(path)
-        assert json.loads(path.read_text())["format_version"] == 2
-        reloaded = PipelineArtifact.load(path)
-        assert reloaded.format_version == 2
-        assert reloaded.created_at == loaded.created_at
-        assert reloaded.payload_without_timestamp() == loaded.payload_without_timestamp()
-
-    def test_tampered_fixture_edges_rejected(self, tmp_path):
-        payload = json.loads(V1_FIXTURE.read_text(encoding="utf-8"))
-        payload["edges"] = payload["edges"][:-1]
-        path = tmp_path / "artifact.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="graph"):
-            PipelineArtifact.load(path)
+            load_document(tmp_path, document)
 
 
 class TestRecommend:

@@ -12,7 +12,17 @@ from pathlib import Path
 import pytest
 
 import filmrec
-from filmrec import CentralityTable, EgoGraphPolicy, PipelineArtifact, PipelineConfig, build_graph, louvain
+from filmrec import (
+    CentralityTable,
+    EgoGraphPolicy,
+    PipelineArtifact,
+    PipelineConfig,
+    SyntheticSpec,
+    build_graph,
+    generate_synthetic,
+    louvain,
+    run_pipeline_from_view,
+)
 from filmrec.cli import _config_from_args, build_parser, main
 from filmrec.community import write_clusters_csv
 from filmrec.graph import write_centrality_csv, write_edges_csv
@@ -310,7 +320,7 @@ def test_bad_data_exits_two(tmp_path, capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("document", ["[]", '{"format_version": 1, "config": []}'])
+@pytest.mark.parametrize("document", ["[]", '{"format_version": 2, "config": []}'])
 def test_malformed_artifact_exits_two(tmp_path, capsys, document):
     artifact_path = tmp_path / "artifact.json"
     artifact_path.write_text(document)
@@ -341,6 +351,28 @@ def test_deeply_nested_artifact_exits_two(tmp_path, capsys, monkeypatch, command
     code, err = artifact_command_outcome(tmp_path, capsys, monkeypatch, command, b"[" * 200_000 + b"]" * 200_000)
     assert code == 2
     assert err.startswith("error: artifact is not valid UTF-8 JSON:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["recommend", "serve"])
+def test_format_one_artifact_exits_two_with_the_rebuild_hint(tmp_path, capsys, monkeypatch, command):
+    view = generate_synthetic(SyntheticSpec(film_count=6, user_count=8, seed=2))
+    document = json.dumps(run_pipeline_from_view(view, PipelineConfig()).to_payload()).encode()
+    code, err = artifact_command_outcome(tmp_path, capsys, monkeypatch, command, document)
+    assert code == 2
+    assert err.startswith("error: artifact format_version 1 ") and "Traceback" not in err
+    assert "rebuild it with `filmrec run`" in err
+
+
+@pytest.mark.parametrize("command", ["recommend", "serve"])
+def test_newer_artifact_exits_two(tmp_path, capsys, monkeypatch, command):
+    view = generate_synthetic(SyntheticSpec(film_count=6, user_count=8, seed=2))
+    saved = tmp_path / "saved.json"
+    run_pipeline_from_view(view, PipelineConfig()).save(saved)
+    document = json.loads(saved.read_text())
+    document["format_version"] = 3
+    code, err = artifact_command_outcome(tmp_path, capsys, monkeypatch, command, json.dumps(document).encode())
+    assert code == 2
+    assert err.startswith("error: artifact format_version 3 is newer than supported 2") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["ingest", "run", "evaluate"])

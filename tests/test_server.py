@@ -79,21 +79,16 @@ def test_health(base_url, artifact):
     assert payload["format_version"] == 2
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_health_reports_the_version_of_the_loaded_file(tmp_path, version):
+def test_health_reports_the_version_of_the_loaded_file(tmp_path):
     view = generate_synthetic(SyntheticSpec(film_count=6, user_count=8, seed=2))
-    built = run_pipeline_from_view(view, PipelineConfig())
     path = tmp_path / "artifact.json"
-    if version == 1:
-        path.write_text(json.dumps(built.to_payload()))
-    else:
-        built.save(path)
+    run_pipeline_from_view(view, PipelineConfig()).save(path)
     server = create_server(PipelineArtifact.load(path), "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
         host, port = server.server_address[:2]
-        assert get(f"http://{host}:{port}/v1/health")[1]["format_version"] == version
+        assert get(f"http://{host}:{port}/v1/health")[1]["format_version"] == 2
     finally:
         server.shutdown()
         server.server_close()
