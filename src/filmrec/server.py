@@ -17,17 +17,16 @@ before it closes. A read that waits longer than ``READ_TIMEOUT_SECONDS``
 (headers or body) closes the connection without an answer.
 
 Each open connection has a handler thread of its own, so a stalled client
-holds up no other; a thread that finishes a connection waits for the next
-one instead of exiting (``HandlerReusingServer``). The listen backlog is the
+holds up no other; a thread that finishes a connection leaves an idle token
+and waits for the next one instead of exiting, and a new thread starts only
+when no token is left (``HandlerReusingServer``). The listen backlog is the
 system's largest (``socket.SOMAXCONN``), so a burst of connects is queued
 rather than left to retry its handshake a second later.
 
-Requests read the artifact without locks. ``serve`` computes the graph's
-path-kernel result (``FilmGraph.paths``) before it accepts a connection, so
-on that path no request writes to the artifact. A server from
-``create_server`` alone computes it on the first personalized request: it is
-deterministic, so requests racing on a freshly loaded artifact at worst
-repeat that one pass.
+Requests read the artifact without locks. ``create_server`` computes the
+graph's path-kernel result (``FilmGraph.paths``) before it returns, so every
+server is prepared before its first request and no request writes to the
+artifact.
 
 A client that goes away mid-request is logged at DEBUG; any other failure
 of a connection is logged with its traceback at ERROR.
@@ -74,7 +73,6 @@ def _parse_k(query: dict[str, list[str]]) -> int:
 
 
 class ArtifactHandler(BaseHTTPRequestHandler):
-    artifact: PipelineArtifact  # set on the subclass by create_server
     timeout = READ_TIMEOUT_SECONDS  # socket timeout, set by StreamRequestHandler.setup
     # Buffer the response, so its status line, headers and body leave in one
     # write when http.server flushes after the request, not in two.
@@ -82,7 +80,7 @@ class ArtifactHandler(BaseHTTPRequestHandler):
 
     def do_GET(self):  # noqa: N802 (http.server API)
         parsed = urlparse(self.path)
-        query = parse_qs(parsed.query)
+        query = parse_qs(parsed.query, keep_blank_values=True)
         path = parsed.path
         try:
             if path == "/v1/health":
@@ -95,7 +93,7 @@ class ArtifactHandler(BaseHTTPRequestHandler):
             match = _SIMILAR_RE.match(path)
             if match:
                 film = unquote(match.group(1))
-                if film not in self.artifact.similarity:
+                if film not in self.server.artifact.similarity:
                     self._respond(404, {"error": f"unknown film: {film}"})
                     return
                 self._respond(200, self._similar(film, _parse_k(query)))
@@ -162,27 +160,28 @@ class ArtifactHandler(BaseHTTPRequestHandler):
         self._respond(405, {"error": f"method not allowed: {self.command}"})
 
     def _health(self) -> dict:
+        artifact = self.server.artifact
         return {
             "status": "ok",
             "format_version": FORMAT_VERSION,
-            "films": len(self.artifact.similarity.films),
-            "users": len(self.artifact.profiles),
-            "created_at": self.artifact.created_at,
-            "config": self.artifact.config.to_dict(),
+            "films": len(artifact.similarity.films),
+            "users": len(artifact.profiles),
+            "created_at": artifact.created_at,
+            "config": artifact.config.to_dict(),
         }
 
     def _recommendations(self, user_id: str, k: int) -> dict:
-        ranked = recommend(self.artifact, user_id, k)
+        ranked = recommend(self.server.artifact, user_id, k)
         return {
             "user_id": user_id,
-            "cold_start": is_cold_start(self.artifact, user_id),
+            "cold_start": is_cold_start(self.server.artifact, user_id),
             "items": [{"film_id": film, "score": score} for film, score in ranked.entries],
         }
 
     def _similar(self, film_id: str, k: int) -> list:
         return [
             {"film_id": other, "similarity": value}
-            for other, value in self.artifact.similarity.top_similar(film_id, k)
+            for other, value in self.server.artifact.similarity.top_similar(film_id, k)
         ]
 
     def _respond(self, status: int, payload, close: bool = False) -> None:
@@ -206,53 +205,43 @@ class HandlerReusingServer(ThreadingHTTPServer):
     """A threading HTTP server whose handler threads serve one connection
     after another.
 
-    An accepted connection goes to an idle handler thread through a queue. A
-    new thread, started only when none is idle, is handed its first
-    connection directly, so every open connection still has a thread of its
-    own and concurrency is not capped. A thread that has finished a
-    connection counts itself idle and waits on the queue for the next one.
-    ``process_request`` takes one from the idle count for each connection it
-    queues, so every queued connection has a thread that will take it; a
-    thread about to mark itself idle is not counted yet, which can only start
-    a spare thread. The thread count is thus the most connections open at
-    once so far (plus any spares); it shrinks only at ``server_close``, which
-    stops the threads once their connections finish.
+    ``process_request`` puts each accepted connection on a queue, then takes
+    an idle token from a second queue, or starts a handler thread when none
+    is there. A handler thread takes connections from the queue in turn and
+    leaves one token after each it finishes, so a token stands for one
+    future take: every queued connection has a thread that will take it, and
+    concurrency is not capped. A thread that has not yet left its token can
+    only cause a spare thread to start. The thread count is thus the most
+    connections open at once so far (plus any spares); it shrinks only at
+    ``server_close``, which stops the threads once their connections finish.
     """
 
     request_queue_size = socket.SOMAXCONN
 
     def __init__(self, *args, **kwargs):
         self._connections: queue.SimpleQueue = queue.SimpleQueue()
-        self._idle = 0
-        self._idle_lock = threading.Lock()
+        self._idle_tokens: queue.SimpleQueue = queue.SimpleQueue()
         self._workers: list[threading.Thread] = []
         super().__init__(*args, **kwargs)
 
     def process_request(self, request, client_address):
-        with self._idle_lock:
-            start = self._idle == 0
-            if not start:
-                self._idle -= 1
-        if start:
-            worker = threading.Thread(
-                target=self._work, args=(request, client_address), name="filmrec-handler", daemon=self.daemon_threads
-            )
+        self._connections.put((request, client_address))
+        try:
+            self._idle_tokens.get_nowait()
+        except queue.Empty:
+            worker = threading.Thread(target=self._work, name="filmrec-handler", daemon=self.daemon_threads)
             self._workers.append(worker)
             worker.start()
-        else:
-            self._connections.put((request, client_address))
 
-    def _work(self, request, client_address) -> None:
-        while request is not None:
-            self.process_request_thread(request, client_address)
-            with self._idle_lock:
-                self._idle += 1
-            request, client_address = self._connections.get()
+    def _work(self) -> None:
+        while (connection := self._connections.get()) is not None:
+            self.process_request_thread(*connection)
+            self._idle_tokens.put(None)
 
     def server_close(self):
         super().server_close()
         for _ in self._workers:
-            self._connections.put((None, None))
+            self._connections.put(None)
         for worker in self._workers:
             worker.join()
 
@@ -264,8 +253,14 @@ class HandlerReusingServer(ThreadingHTTPServer):
 
 
 def create_server(artifact: PipelineArtifact, host: str, port: int) -> HandlerReusingServer:
-    handler = type("BoundArtifactHandler", (ArtifactHandler,), {"artifact": artifact})
-    return HandlerReusingServer((host, port), handler)
+    """Bind a server whose handlers read ``artifact`` as ``server.artifact``,
+    and compute its path kernel, so that no request writes to the artifact."""
+    server = HandlerReusingServer((host, port), ArtifactHandler)
+    server.artifact = artifact
+    start = time.perf_counter()
+    artifact.graph.paths()
+    logger.info("path kernel ready: %.1f ms", (time.perf_counter() - start) * 1e3)
+    return server
 
 
 def parse_bind(bind: str) -> tuple[str, int]:
@@ -279,11 +274,8 @@ def parse_bind(bind: str) -> tuple[str, int]:
 def serve(artifact: PipelineArtifact, host: str, port: int) -> None:
     """Serve until interrupted."""
     server = create_server(artifact, host, port)
-    logger.info("serving on %s:%d", host, port)
     try:
-        start = time.perf_counter()
-        artifact.graph.paths()
-        logger.info("path kernel ready: %.1f ms", (time.perf_counter() - start) * 1e3)
+        logger.info("serving on %s:%d", *server.server_address[:2])
         server.serve_forever()
     finally:
         server.server_close()

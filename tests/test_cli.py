@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -457,12 +458,16 @@ def test_info_level_routes_the_server_start_message(events_file, tmp_path):
     watchdog = threading.Timer(30, proc.kill)
     watchdog.start()
     try:
-        line = proc.stderr.readline()
+        kernel, serving = proc.stderr.readline().strip(), proc.stderr.readline().strip()
+        assert re.fullmatch(r"INFO filmrec\.server: path kernel ready: \d+\.\d ms", kernel)
+        bound = re.fullmatch(r"INFO filmrec\.server: serving on 127\.0\.0\.1:(\d+)", serving)
+        assert bound and int(bound.group(1)) != 0
+        with urllib.request.urlopen(f"http://127.0.0.1:{bound.group(1)}/v1/health", timeout=10) as response:
+            assert response.status == 200
     finally:
         watchdog.cancel()
         proc.kill()
         proc.communicate()
-    assert line.strip() == "INFO filmrec.server: serving on 127.0.0.1:0"
 
 
 COMPLETE_GRAPH_WARNING = "WARNING filmrec.pipeline: similarity graph is complete: 66 edges at edge_threshold 0.0"

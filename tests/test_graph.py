@@ -1,20 +1,26 @@
 import itertools
 import random
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from filmrec import (
+    AveragingPolicy,
     CentralityTable,
     DomainError,
     FilmGraph,
     SimilarityMatrix,
+    SyntheticSpec,
     average_centrality,
+    average_similarity,
     betweenness_centrality,
     build_graph,
     closeness_centrality,
     degree_centrality,
+    generate_synthetic,
 )
 from filmrec.graph import hop_distances
 
@@ -351,3 +357,35 @@ class TestOnePathPassPerGraph:
             closeness_centrality(g, node)
             g.paths().hops[g.index(node)]
         assert len(traversals.passes) == 1 and not traversals.bfs
+
+
+def test_racing_first_paths_calls_match_a_sequential_pass():
+    """Four threads that make the first ``paths()`` call on a fresh graph at
+    once each get the hops and dependencies of a sequential pass."""
+    view = generate_synthetic(SyntheticSpec(film_count=40, user_count=120, seed=13))
+    sim = average_similarity(view, AveragingPolicy.COMPARABLE_COUNT)
+    expected = build_graph(sim, 0.3).paths()
+    g = build_graph(sim, 0.3)
+    start = threading.Barrier(4)
+    results = {}
+
+    def first_call(index: int) -> None:
+        start.wait()
+        results[index] = g.paths()
+
+    threads = [threading.Thread(target=first_call, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    assert expected.hops.max() > 1 and expected.dependency.max() > 0  # not a complete graph
+    for paths in results.values():
+        assert np.array_equal(paths.hops, expected.hops)
+        assert np.array_equal(paths.dependency, expected.dependency)

@@ -95,6 +95,22 @@ def test_health_reports_the_version_of_the_loaded_file(tmp_path):
         thread.join(timeout=5)
 
 
+def test_create_server_runs_the_path_kernel_once_before_any_request(artifact, tmp_path, traversals):
+    path = tmp_path / "artifact.json"
+    artifact.save(path)
+    loaded = PipelineArtifact.load(path)
+    assert not traversals.passes
+    server, thread, url = serving(loaded)
+    try:
+        assert [id(p) for p in traversals.passes] == [id(loaded.graph.indptr)]
+        users = [user for user, profile in loaded.profiles.items() if profile.preferred]
+        for i in range(20):
+            assert get(f"{url}/v1/users/{users[i % len(users)]}/recommendations?k=3")[0] == 200
+    finally:
+        stop(server, thread)
+    assert len(traversals.passes) == 1 and not traversals.bfs
+
+
 def test_recommendations_for_known_user(base_url, artifact):
     user = next(u for u, p in artifact.profiles.items() if p.preferred)
     status, payload = get(f"{base_url}/v1/users/{user}/recommendations?k=3")
@@ -139,6 +155,11 @@ def test_malformed_k_400(base_url):
     assert "k" in payload["error"]
     status, _ = get_error(f"{base_url}/v1/users/u/recommendations?k=0")
     assert status == 400
+    for query in ("k=", "k=3&k="):
+        status, payload = get_error(f"{base_url}/v1/users/u/recommendations?{query}")
+        assert (status, payload) == (400, {"error": "k must be an integer, got ''"})
+    status, payload = get(f"{base_url}/v1/users/u/recommendations?k=5&k=3")
+    assert status == 200 and len(payload["items"]) == 3
 
 
 def test_unknown_route_404(base_url):
@@ -175,10 +196,9 @@ def test_head_gets_405_without_body(base_url):
         connection.close()
 
 
-def test_concurrent_requests_on_a_cold_memo_match_sequential(tmp_path):
-    """Four clients at once against a freshly loaded artifact, whose hop
-    memo is empty, get exactly the bodies a sequential in-process recommend
-    gives."""
+def test_concurrent_requests_on_a_loaded_artifact_match_sequential(tmp_path):
+    """Four clients at once against a server for a freshly loaded artifact
+    get exactly the bodies a sequential in-process recommend gives."""
     view = generate_synthetic(SyntheticSpec(film_count=40, user_count=120, seed=13))
     path = tmp_path / "artifact.json"
     run_pipeline_from_view(view, PipelineConfig(edge_threshold=0.3)).save(path)
@@ -458,10 +478,10 @@ def test_handler_threads_are_reused_then_stopped_at_close(artifact):
     assert not any(worker.is_alive() for worker in started)
 
 
-def test_the_idle_count_survives_many_concurrent_clients(artifact):
+def test_the_idle_tokens_survive_many_concurrent_clients(artifact):
     """Six clients at once with a short switch interval: every request is
-    answered, and once the handlers have finished every thread counts
-    itself idle exactly once, which a lost update of the count would break."""
+    answered, and once the handlers have finished there is exactly one idle
+    token per thread, which a lost or doubled token would break."""
     server, thread, base_url = serving(artifact)
     statuses: list[int] = []
     interval = sys.getswitchinterval()
@@ -477,9 +497,9 @@ def test_the_idle_count_survives_many_concurrent_clients(artifact):
             client.join(timeout=30)
         assert not any(client.is_alive() for client in clients)
         deadline = time.monotonic() + 5
-        while server._idle != len(server._workers) and time.monotonic() < deadline:
+        while server._idle_tokens.qsize() != len(server._workers) and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert server._idle == len(server._workers)
+        assert server._idle_tokens.qsize() == len(server._workers)
     finally:
         sys.setswitchinterval(interval)
         stop(server, thread)
