@@ -1,27 +1,29 @@
 """Versioned on-disk pipeline artifact.
 
-``save`` writes one canonical JSON document of format 2. It holds only the
+``save`` writes one canonical JSON document of format 3. It holds only the
 pipeline's state:
 
 - ``format_version`` and ``created_at``, the build time;
-- ``config``, the config snapshot;
+- ``config``, the config snapshot, with every field named;
 - ``films``, the film ids in similarity order. Every list below that
   follows or names films uses this order;
 - ``similarity``, the upper triangle of the similarity matrix, diagonal
   included, row-major as ``np.triu_indices`` gives it, in one flat list;
-- ``centrality``, the ``degree``, ``closeness`` and ``betweenness`` lists;
 - ``clustering``, whose ``assignment`` lists one cluster id per film;
 - ``profiles``, per user the ``preferred`` and ``non_preferred`` lists of
   indices into ``films``.
 
 Load derives the rest once, with the pipeline's own functions: the
 symmetric matrix, the graph (from the similarity and the config's edge
-threshold), the average-centrality (AC) column and the modularity. It
-refuses a key outside the schema, a similarity entry that is not a JSON
-float, and a profile index that is not an integer, falls outside the film
-list or repeats, besides the state checks that ``validate`` repeats.
+threshold), the centrality table with its average-centrality (AC) column,
+and the modularity. Computing the centrality runs the graph's path kernel,
+so a loaded artifact needs no further preparation before it ranks. Load
+refuses a key outside the schema, a config that lacks a field, an empty
+film list, a similarity entry that is not a JSON float, and a profile
+index that is not an integer, falls outside the film list or repeats,
+besides the state checks that ``validate`` repeats.
 
-Load reads format 2 only. An artifact is a cache: a file of any other
+Load reads format 3 only. An artifact is a cache: a file of any other
 version is refused, and ``filmrec run`` rebuilds it.
 
 Serialization is canonical (sorted keys, shortest-round-trip floats), so
@@ -32,7 +34,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -45,14 +47,11 @@ from .graph import CentralityTable, FilmGraph, build_graph
 from .profiles import PreferenceProfile
 from .similarity import SimilarityMatrix
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # the keys a document and each of its fixed-key sections may hold
 _KEYS = {
-    "document": {
-        "format_version", "created_at", "config", "films", "similarity", "centrality", "clustering", "profiles"
-    },
-    "centrality": {"degree", "closeness", "betweenness"},
+    "document": {"format_version", "created_at", "config", "films", "similarity", "clustering", "profiles"},
     "clustering": {"assignment"},
 }
 _PROFILE_KEYS = {"preferred", "non_preferred"}
@@ -115,21 +114,15 @@ class PipelineArtifact:
         return payload
 
     def _state_payload(self) -> dict:
-        """The artifact as the format-2 document ``save`` writes: the state only."""
+        """The artifact as the format-3 document ``save`` writes: the state only."""
         films = self.similarity.films
         index = {film: i for i, film in enumerate(films)}
-        rows = [self.centrality.rows[film] for film in films]
         return {
             "format_version": FORMAT_VERSION,
             "created_at": self.created_at,
             "config": self.config.to_dict(),
             "films": list(films),
             "similarity": self.similarity.values[np.triu_indices(len(films))].tolist(),
-            "centrality": {
-                "degree": [row.degree_c for row in rows],
-                "closeness": [row.closeness_c for row in rows],
-                "betweenness": [row.betweenness_c for row in rows],
-            },
             "clustering": {"assignment": [self.clustering.assignment[film] for film in films]},
             "profiles": {
                 user: {
@@ -154,8 +147,8 @@ class PipelineArtifact:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PipelineArtifact":
-        """Read and check a format-2 document's state and derive the graph,
-        the AC column and the modularity from it."""
+        """Read and check a format-3 document's state and derive the graph,
+        the centrality table and the modularity from it."""
         if not isinstance(payload, dict):
             raise DataError(f"artifact is not a JSON object: {type(payload).__name__}")
         version = payload.get("format_version")
@@ -171,40 +164,41 @@ class PipelineArtifact:
                 "rebuild it with `filmrec run`"
             )
         _check_keys(payload, _KEYS["document"], "document")
-        for section in ("config", "centrality", "clustering", "profiles"):
+        for section in ("config", "clustering", "profiles"):
             if not isinstance(payload.get(section), dict):
                 raise DataError(f"malformed artifact payload: {section} is not an object")
             if section in _KEYS:
                 _check_keys(payload[section], _KEYS[section], section)
+        missing = {option.name for option in fields(PipelineConfig)} - payload["config"].keys()
+        if missing:
+            raise DataError(f"artifact config is missing key {min(missing)!r}")
         try:
             config = PipelineConfig.from_dict(payload["config"])
         except DomainError as exc:
             raise DataError(f"artifact config: {exc}")
         try:
             films = _film_ids(payload["films"])
-            values, components, assignment, profiles = _read_state(payload, films)
+            values, assignment, profiles = _read_state(payload, films)
             created_at = payload["created_at"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed artifact payload: {exc!r}")
         if not isinstance(created_at, str):
             raise DataError(f"artifact created_at is not a string: {created_at!r}")
         similarity = SimilarityMatrix(films, values)
-        _check_state(similarity, components, assignment, profiles)
+        _check_state(similarity, assignment, profiles)
         graph = build_graph(similarity, config.edge_threshold)
-        centrality = CentralityTable.from_components(components)
+        centrality = CentralityTable.compute(graph)
         clustering = Clustering(assignment, modularity_score(graph, assignment))
         return cls(config, similarity, graph, centrality, clustering, profiles, created_at)
 
     def validate(self) -> None:
         """State checks only (the config checked itself when it was built): the
         similarity is symmetric, in [0, 1] and has a 0.0/1.0 diagonal; the
-        films are distinct; the centrality components are floats in [0, 1];
-        clustering and centrality cover exactly the film set with dense
-        integer cluster ids; profiles name only known films, each at most
-        once. The graph, the AC column and the modularity are derived from
-        the state, so they are not rebuilt."""
-        components = {film: (r.degree_c, r.closeness_c, r.betweenness_c) for film, r in self.centrality.rows.items()}
-        _check_state(self.similarity, components, self.clustering.assignment, self.profiles)
+        films are distinct; the clustering covers exactly the film set with
+        dense integer cluster ids; profiles name only known films, each at
+        most once. The graph, the centrality table and the modularity are
+        derived from the state, so they are not rebuilt."""
+        _check_state(self.similarity, self.clustering.assignment, self.profiles)
 
 
 def _check_keys(section: dict, allowed: set[str], what: str) -> None:
@@ -215,6 +209,9 @@ def _check_keys(section: dict, allowed: set[str], what: str) -> None:
 def _film_ids(value) -> tuple[str, ...]:
     if not isinstance(value, list) or not set(map(type, value)) <= {str}:
         raise DataError("artifact films is not a list of film ids")
+    if not value:
+        # a graph without nodes has no centrality to derive
+        raise DataError("artifact films is empty")
     return tuple(value)
 
 
@@ -230,10 +227,6 @@ def _read_state(payload: dict, films: tuple[str, ...]):
     values = np.empty((count, count))
     rows, cols = np.triu_indices(count)
     values[rows, cols] = values[cols, rows] = np.array(upper, dtype=np.float64)
-    columns = [payload["centrality"][name] for name in ("degree", "closeness", "betweenness")]
-    if not all(isinstance(column, list) and len(column) == count for column in columns):
-        raise DataError("artifact centrality does not hold one row per film")
-    components = dict(zip(films, zip(*columns)))
     assignment = payload["clustering"]["assignment"]
     if not isinstance(assignment, list) or len(assignment) != count:
         raise DataError("artifact clustering does not hold one cluster id per film")
@@ -246,7 +239,7 @@ def _read_state(payload: dict, films: tuple[str, ...]):
         profiles[user] = PreferenceProfile(
             user, _films_at(entry["preferred"], films, what), _films_at(entry["non_preferred"], films, what)
         )
-    return values, components, dict(zip(films, assignment)), profiles
+    return values, dict(zip(films, assignment)), profiles
 
 
 def _films_at(value, films: tuple[str, ...], what: str) -> tuple[str, ...]:
@@ -257,7 +250,7 @@ def _films_at(value, films: tuple[str, ...], what: str) -> tuple[str, ...]:
     return tuple(map(films.__getitem__, value))
 
 
-def _check_state(similarity: SimilarityMatrix, components: dict, assignment: dict, profiles: dict) -> None:
+def _check_state(similarity: SimilarityMatrix, assignment: dict, profiles: dict) -> None:
     values = similarity.values
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise DataError("artifact similarity has an entry that is not finite or outside [0, 1]")
@@ -275,11 +268,6 @@ def _check_state(similarity: SimilarityMatrix, components: dict, assignment: dic
     cluster_ids = set(assignment.values())
     if not set(map(type, assignment.values())) <= {int} or cluster_ids != set(range(len(cluster_ids))):
         raise DataError("artifact cluster ids are not integers dense from 0")
-    if set(components) != films:
-        raise DataError("artifact centrality table does not cover exactly the film set")
-    for film, row in components.items():
-        if not all(isinstance(c, float) and 0.0 <= c <= 1.0 for c in row):
-            raise DataError(f"artifact centrality row for {film} has a component outside [0, 1]")
     for user, profile in profiles.items():
         named = profile.preferred + profile.non_preferred
         if not films.issuperset(named):

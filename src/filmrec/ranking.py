@@ -120,11 +120,12 @@ def candidate_set(
     explicitly excluded (re-offering abandoned titles is allowed). A user
     with no preferred films gets no candidates; ``is_cold_start`` decides
     when to serve the cold-start list instead."""
-    wanted = {clustering.assignment[film] for film in profile.preferred if film in clustering.assignment}
+    preferred = set(profile.preferred)
+    wanted = {clustering.assignment[film] for film in preferred if film in clustering.assignment}
     candidates = {
         film
         for film, cluster in clustering.assignment.items()
-        if cluster in wanted and film not in profile.preferred
+        if cluster in wanted and film not in preferred
     }
     if exclude_non_preferred:
         candidates -= set(profile.non_preferred)

@@ -14,6 +14,7 @@ from filmrec import (
     Clustering,
     EgoGraphPolicy,
     FilmGraph,
+    PipelineArtifact,
     PipelineConfig,
     PreferenceProfile,
     RandomScorePolicy,
@@ -359,6 +360,17 @@ def test_criterion_10_golden_payload_hash_sparse(default_synthetic, tmp_path):
     assert sum(row.betweenness_c > 0.0 for row in artifact.centrality.rows.values()) == 59
     text = json.dumps(artifact.payload_without_timestamp(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SPARSE_PAYLOAD_SHA256
+
+
+@criterion("criterion 10 (saved artifact reloads as built)")
+@pytest.mark.parametrize("edge_threshold", [0.0, 0.35])
+def test_criterion_10_artifact_reloads_as_built(default_synthetic, tmp_path, edge_threshold):
+    """The file stores no centrality; load derives the same table bit for bit."""
+    built = _criterion_10_artifact(default_synthetic, tmp_path, PipelineConfig(edge_threshold=edge_threshold))
+    path = tmp_path / "artifact.json"
+    built.save(path)
+    assert "centrality" not in json.loads(path.read_text())
+    assert PipelineArtifact.load(path).payload_without_timestamp() == built.payload_without_timestamp()
 
 
 # sha256 of the canonical JSON of the ego_graph (edge threshold 0.35), knn,

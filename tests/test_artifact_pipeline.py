@@ -56,7 +56,7 @@ def events_file(tmp_path, small_view):
 
 
 def saved_document(tmp_path, artifact) -> dict:
-    """The format-2 document that ``save`` writes for ``artifact``."""
+    """The document that ``save`` writes for ``artifact``."""
     path = tmp_path / "saved.json"
     artifact.save(path)
     return json.loads(path.read_text())
@@ -260,11 +260,19 @@ class TestArtifactSerialization:
         with pytest.raises(DataError, match="format_version 1 .*rebuild it with `filmrec run`"):
             load_document(tmp_path, small_artifact.to_payload())
 
+    def test_centrality_is_derived_from_the_loaded_similarity(self, tmp_path, small_artifact):
+        """An edited similarity cell changes the graph, and the loaded
+        centrality is that graph's, not the one the file was built with."""
+        document = saved_document(tmp_path, small_artifact)
+        document["similarity"][1] /= 2
+        loaded = load_document(tmp_path, document)
+        assert loaded.centrality == CentralityTable.compute(loaded.graph)
+        assert loaded.centrality != small_artifact.centrality
+
     @staticmethod
     def _corrupt_state(artifact, corruption):
         """``artifact`` with one part of its state replaced."""
-        films, assignment = artifact.similarity.films, artifact.clustering.assignment
-        rows, profiles = artifact.centrality.rows, artifact.profiles
+        films, assignment, profiles = artifact.similarity.films, artifact.clustering.assignment, artifact.profiles
         similarity_cell = {
             "similarity_negative": (1, 2, -0.5),
             "similarity_above_one": (1, 2, 1.5),
@@ -285,16 +293,6 @@ class TestArtifactSerialization:
             film = next(f for f in films if assignment[f] == 0)
             clustering = dataclasses.replace(artifact.clustering, assignment={**assignment, film: cluster_id[corruption]})
             return dataclasses.replace(artifact, clustering=clustering)
-        component = {
-            "centrality_component_above_one": ("closeness_c", 1.5),
-            "centrality_component_negative": ("betweenness_c", -0.1),
-            "centrality_component_nan": ("degree_c", float("nan")),
-            "centrality_component_int": ("degree_c", 1),
-        }
-        if corruption in component:
-            name, value = component[corruption]
-            row = dataclasses.replace(rows[films[0]], **{name: value})
-            return dataclasses.replace(artifact, centrality=CentralityTable({**rows, films[0]: row}))
         if corruption in ("profile_film_twice_in_one_list", "profile_film_in_both_lists"):
             user, profile = next((u, p) for u, p in profiles.items() if p.preferred)
             top = profile.preferred[0]
@@ -309,10 +307,6 @@ class TestArtifactSerialization:
         if corruption == "missing_clustered_film":
             clustering = dataclasses.replace(artifact.clustering, assignment={f: assignment[f] for f in films[1:]})
             return dataclasses.replace(artifact, clustering=clustering)
-        if corruption == "phantom_centrality_film":
-            return dataclasses.replace(artifact, centrality=CentralityTable({**rows, "phantom": rows[films[0]]}))
-        if corruption == "missing_centrality_film":
-            return dataclasses.replace(artifact, centrality=CentralityTable({f: rows[f] for f in films[1:]}))
         if corruption == "phantom_profile_film":
             user, profile = next(iter(profiles.items()))
             profile = dataclasses.replace(profile, non_preferred=(*profile.non_preferred, "phantom"))
@@ -328,14 +322,12 @@ class TestArtifactSerialization:
         [
             ("phantom_clustered_film", "artifact clustering does not cover exactly the film set"),
             ("missing_clustered_film", "artifact clustering does not cover exactly the film set"),
-            ("phantom_centrality_film", "artifact centrality table does not cover exactly the film set"),
-            ("missing_centrality_film", "artifact centrality table does not cover exactly the film set"),
             ("phantom_profile_film", "artifact profile for .* names films outside the film set"),
             ("similarity_asymmetric", "artifact similarity is not symmetric"),
         ],
     )
     def test_validate_rejects_state_no_document_can_hold(self, small_artifact, corruption, message):
-        """A format-2 document names films by position and stores one
+        """A saved document names films by position and stores one
         triangle of the similarity, so these fail only through ``validate``."""
         small_artifact.validate()
         with pytest.raises(DataError, match=message):
@@ -353,10 +345,6 @@ class TestArtifactSerialization:
             ("sparse_cluster_ids", "artifact cluster ids are not integers dense from 0"),
             ("cluster_id_float", "artifact cluster ids are not integers dense from 0"),
             ("cluster_id_bool", "artifact cluster ids are not integers dense from 0"),
-            ("centrality_component_above_one", "artifact centrality row for 1 has a component outside \\[0, 1\\]"),
-            ("centrality_component_negative", "artifact centrality row for 1 has a component outside \\[0, 1\\]"),
-            ("centrality_component_nan", "artifact centrality row for 1 has a component outside \\[0, 1\\]"),
-            ("centrality_component_int", "artifact centrality row for 1 has a component outside \\[0, 1\\]"),
             ("profile_film_twice_in_one_list", "artifact profile for .* names a film twice"),
             ("profile_film_in_both_lists", "artifact profile for .* names a film twice"),
         ],
@@ -375,9 +363,10 @@ class TestArtifactSerialization:
             ("format_version", 0, "format_version 0 "),
             ("format_version", -7, "format_version -7 "),
             ("format_version", 1, "format_version 1 .*rebuild it with `filmrec run`"),
-            ("format_version", 3, "format_version 3 is newer than supported 2"),
-            ("format_version", "2", "missing integer format_version"),
-            ("format_version", 2.0, "missing integer format_version"),
+            ("format_version", 2, "format_version 2 .*rebuild it with `filmrec run`"),
+            ("format_version", 4, "format_version 4 is newer than supported 3"),
+            ("format_version", "3", "missing integer format_version"),
+            ("format_version", 3.0, "missing integer format_version"),
             ("format_version", None, "missing integer format_version"),
             ("created_at", [], "created_at"),
             ("created_at", None, "created_at"),
@@ -454,7 +443,7 @@ class TestArtifactSerialization:
             PipelineArtifact.load(path)
 
     @pytest.mark.parametrize(
-        "section", ["created_at", "config", "films", "similarity", "centrality", "clustering", "profiles"]
+        "section", ["created_at", "config", "films", "similarity", "clustering", "profiles"]
     )
     def test_missing_sections_rejected(self, tmp_path, small_artifact, section):
         document = saved_document(tmp_path, small_artifact)
@@ -469,7 +458,7 @@ class TestArtifactSerialization:
         with pytest.raises(DataError, match="object"):
             PipelineArtifact.load(path)
 
-    @pytest.mark.parametrize("section", ["config", "centrality", "clustering", "profiles"])
+    @pytest.mark.parametrize("section", ["config", "clustering", "profiles"])
     def test_list_section_rejected(self, tmp_path, small_artifact, section):
         document = saved_document(tmp_path, small_artifact)
         document[section] = []
@@ -494,21 +483,34 @@ class TestArtifactSerialization:
         with pytest.raises(DataError, match=key):
             load_document(tmp_path, document)
 
+    @pytest.mark.parametrize("key", [option.name for option in dataclasses.fields(PipelineConfig)])
+    def test_config_missing_a_field_rejected(self, tmp_path, small_artifact, key):
+        """A config file may leave a field at its default; an artifact's
+        config names every field it was built with."""
+        document = saved_document(tmp_path, small_artifact)
+        del document["config"][key]
+        with pytest.raises(DataError, match=f"artifact config is missing key '{key}'"):
+            load_document(tmp_path, document)
+
+    def test_empty_config_rejected(self, tmp_path, small_artifact):
+        document = saved_document(tmp_path, small_artifact)
+        document["config"] = {}
+        with pytest.raises(DataError, match="artifact config is missing key 'averaging_policy'"):
+            load_document(tmp_path, document)
+
 
 def canonical(document) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
-class TestFormatTwo:
+class TestSavedDocument:
     """The saved document holds only state, with films named by position."""
 
     def test_saved_document_holds_only_the_state(self, tmp_path, small_artifact):
         document = saved_document(tmp_path, small_artifact)
         films = small_artifact.similarity.films
-        assert document["format_version"] == 2
-        assert set(document) == {
-            "format_version", "created_at", "config", "films", "similarity", "centrality", "clustering", "profiles"
-        }
+        assert document["format_version"] == 3
+        assert set(document) == {"format_version", "created_at", "config", "films", "similarity", "clustering", "profiles"}
         assert len(document["similarity"]) == len(films) * (len(films) + 1) // 2
         assert document["clustering"] == {
             "assignment": [small_artifact.clustering.assignment[film] for film in films]
@@ -596,20 +598,12 @@ class TestFormatTwo:
             document["clustering"]["bogus"] = 1
         elif corruption == "format_one_modularity_key":
             document["clustering"]["modularity"] = 0.0
-        elif corruption == "bogus_key_in_centrality":
-            document["centrality"]["bogus"] = []
+        elif corruption == "format_two_centrality_key":
+            document["centrality"] = {"degree": [], "closeness": [], "betweenness": []}
         elif corruption == "bogus_key_in_profile":
             entry["bogus"] = []
         elif corruption == "bogus_key_in_config":
             document["config"]["bogus"] = 1
-        elif corruption == "centrality_column_short":
-            document["centrality"]["closeness"].pop()
-        elif corruption == "centrality_component_text":
-            document["centrality"]["degree"][0] = "0.5"
-        elif corruption == "centrality_component_above_one":
-            document["centrality"]["betweenness"][0] = 1.5
-        elif corruption == "centrality_component_nan":
-            document["centrality"]["degree"][0] = float("nan")
         elif corruption == "assignment_short":
             document["clustering"]["assignment"].pop()
         elif corruption == "assignment_bool":
@@ -621,6 +615,8 @@ class TestFormatTwo:
             films[-1] = films[0]
         elif corruption == "film_not_text":
             films[0] = 1
+        elif corruption == "no_films":
+            document.update(films=[], similarity=[], clustering={"assignment": []}, profiles={})
 
     @pytest.mark.parametrize(
         "corruption, message",
@@ -650,18 +646,15 @@ class TestFormatTwo:
             ("format_one_edges_key", "artifact document has unknown key 'edges'"),
             ("bogus_key_in_clustering", "artifact clustering has unknown key 'bogus'"),
             ("format_one_modularity_key", "artifact clustering has unknown key 'modularity'"),
-            ("bogus_key_in_centrality", "artifact centrality has unknown key 'bogus'"),
+            ("format_two_centrality_key", "artifact document has unknown key 'centrality'"),
             ("bogus_key_in_profile", "has unknown key 'bogus'"),
             ("bogus_key_in_config", "unknown config key: bogus"),
-            ("centrality_column_short", "centrality does not hold one row per film"),
-            ("centrality_component_text", "centrality row"),
-            ("centrality_component_above_one", "centrality row"),
-            ("centrality_component_nan", "centrality row"),
             ("assignment_short", "one cluster id per film"),
             ("assignment_bool", "cluster ids"),
             ("assignment_sparse", "cluster ids"),
             ("repeated_film", "artifact films name 1 twice"),
             ("film_not_text", "not a list of film ids"),
+            ("no_films", "artifact films is empty"),
         ],
     )
     def test_single_field_corruption_rejected(self, tmp_path, small_artifact, corruption, message):

@@ -169,7 +169,7 @@ def test_run_and_recommend(events_file, tmp_path, capsys):
     assert main(["run", str(events_file), "-o", str(artifact_path)]) == 0
     assert artifact_path.exists()
     payload = json.loads(artifact_path.read_text())
-    assert payload["format_version"] == 2
+    assert payload["format_version"] == 3
 
     user = next(iter(payload["profiles"]))
     out = tmp_path / "recs.csv"
@@ -321,7 +321,7 @@ def test_bad_data_exits_two(tmp_path, capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("document", ["[]", '{"format_version": 2, "config": []}'])
+@pytest.mark.parametrize("document", ["[]", '{"format_version": 3, "config": []}'])
 def test_malformed_artifact_exits_two(tmp_path, capsys, document):
     artifact_path = tmp_path / "artifact.json"
     artifact_path.write_text(document)
@@ -370,10 +370,10 @@ def test_newer_artifact_exits_two(tmp_path, capsys, monkeypatch, command):
     saved = tmp_path / "saved.json"
     run_pipeline_from_view(view, PipelineConfig()).save(saved)
     document = json.loads(saved.read_text())
-    document["format_version"] = 3
+    document["format_version"] = 4
     code, err = artifact_command_outcome(tmp_path, capsys, monkeypatch, command, json.dumps(document).encode())
     assert code == 2
-    assert err.startswith("error: artifact format_version 3 is newer than supported 2") and "Traceback" not in err
+    assert err.startswith("error: artifact format_version 4 is newer than supported 3") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["ingest", "run", "evaluate"])

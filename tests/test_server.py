@@ -1,3 +1,4 @@
+import dataclasses
 import http.client
 import json
 import logging
@@ -17,6 +18,7 @@ from filmrec import (
     PipelineArtifact,
     PipelineConfig,
     SyntheticSpec,
+    build_graph,
     generate_synthetic,
     recommend,
     run_pipeline_from_view,
@@ -76,7 +78,7 @@ def test_health(base_url, artifact):
     assert payload["films"] == 10
     assert payload["created_at"] == artifact.created_at
     assert payload["config"] == artifact.config.to_dict()
-    assert payload["format_version"] == 2
+    assert payload["format_version"] == 3
 
 
 def test_health_reports_the_version_of_the_loaded_file(tmp_path):
@@ -88,7 +90,7 @@ def test_health_reports_the_version_of_the_loaded_file(tmp_path):
     thread.start()
     try:
         host, port = server.server_address[:2]
-        assert get(f"http://{host}:{port}/v1/health")[1]["format_version"] == 2
+        assert get(f"http://{host}:{port}/v1/health")[1]["format_version"] == 3
     finally:
         server.shutdown()
         server.server_close()
@@ -99,13 +101,27 @@ def test_create_server_runs_the_path_kernel_once_before_any_request(artifact, tm
     path = tmp_path / "artifact.json"
     artifact.save(path)
     loaded = PipelineArtifact.load(path)
-    assert not traversals.passes
+    # load derives the centrality table, which runs the kernel
+    assert [id(p) for p in traversals.passes] == [id(loaded.graph.indptr)]
     server, thread, url = serving(loaded)
     try:
-        assert [id(p) for p in traversals.passes] == [id(loaded.graph.indptr)]
+        assert len(traversals.passes) == 1
         users = [user for user, profile in loaded.profiles.items() if profile.preferred]
         for i in range(20):
             assert get(f"{url}/v1/users/{users[i % len(users)]}/recommendations?k=3")[0] == 200
+    finally:
+        stop(server, thread)
+    assert len(traversals.passes) == 1 and not traversals.bfs
+
+
+def test_create_server_runs_the_kernel_of_a_graph_that_has_none(artifact, traversals):
+    """An artifact assembled around a fresh graph is prepared by the server."""
+    fresh = dataclasses.replace(artifact, graph=build_graph(artifact.similarity, artifact.config.edge_threshold))
+    server, thread, url = serving(fresh)
+    try:
+        assert [id(p) for p in traversals.passes] == [id(fresh.graph.indptr)]
+        user = next(user for user, profile in fresh.profiles.items() if profile.preferred)
+        assert get(f"{url}/v1/users/{user}/recommendations?k=3")[0] == 200
     finally:
         stop(server, thread)
     assert len(traversals.passes) == 1 and not traversals.bfs
