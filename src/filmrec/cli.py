@@ -166,12 +166,13 @@ METHODS = {
 def _cmd_evaluate(args) -> int:
     config = _config_from_args(args)
     # policies and split first: a bad method, k or split fails before any data is read
-    policies = []
-    for name in args.methods.split(","):
-        name = name.strip()
+    names = [name.strip() for name in args.methods.split(",")]
+    for i, name in enumerate(names):
         if name not in METHODS:
             raise FilmRecError(f"unknown method: {name}")
-        policies.append(METHODS[name](config, args))
+        if name in names[:i]:
+            raise FilmRecError(f"method named twice: {name}")
+    policies = [METHODS[name](config, args) for name in names]
     split_spec = evaluation.SplitSpec(args.sample_size, args.train_fraction, config.seed)
     view = load_view_matrix(args.events, config, skip_bad_rows=args.skip_bad_rows)
     train, test = evaluation.split_users(view, args.sample_size, args.train_fraction, config.seed)

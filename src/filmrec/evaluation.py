@@ -10,7 +10,9 @@ Accuracy is the fraction of +1 judgments; zeros count against.
 
 Baselines are deliberately simple: a cosine k-nearest-neighbor vote over
 viewing vectors, a per-film Bernoulli Naive Bayes over binarized labels, and
-a symmetric random scorer whose expected accuracy is one third.
+a symmetric random scorer whose expected accuracy is one third. Each
+baseline scores all the eligible test users of a split in one batch, with
+the same bits as one user at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Mapping, Protocol, TextIO
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Protocol, Sequence, TextIO
 
 import numpy as np
 
@@ -188,9 +191,14 @@ def evaluate_method(
     are skipped (with a warning on every call) and listed in the report.
 
     The cases come from ``test.derived(eval_cases)``, so every policy
-    evaluated on one test matrix judges the same case objects, built once."""
+    evaluated on one test matrix judges the same case objects, built once.
+    A ``CaseBatchPolicy`` is handed every eligible case once, after the fit,
+    and scores them all in one batch; the judging then reads its kept
+    scores through ``score_film``, in the same order as for any policy."""
     policy.fit(train)
     cases = test.derived(eval_cases)
+    if isinstance(policy, CaseBatchPolicy):
+        policy.keep_scores([case for case in cases.values() if case is not None])
     judgments: list[CaseJudgment] = []
     skipped: list[str] = []
     for user in test.users:
@@ -213,35 +221,45 @@ def evaluate_method(
 
 
 class CaseBatchPolicy:
-    """A policy that scores a case's films in batches. A subclass fits in
-    ``_fit(train)`` and scores a list of a case's films in
-    ``_score_films(case, films)``. The first score asked for a case scores
-    all four of its held-out films with one ``_score_films`` call and keeps
-    them; a film outside those four gets a call of its own. ``fit`` drops
-    the kept scores."""
+    """A policy that scores the held-out films of a whole split in one
+    batch. A subclass fits in ``_fit(train)`` and scores in
+    ``_score_cases(cases, films)``, which takes one list of films per case
+    and gives back one list of scores per case. After ``fit``,
+    ``evaluate_method`` hands ``keep_scores`` the split's eligible cases
+    once: one ``_score_cases`` call scores the four held-out films of every
+    case, and ``score_film`` then reads the kept scores. A case not handed
+    over has its four scored on its first ``score_film``, kept in place of
+    the others; a film outside those four gets a call of its own. ``fit``
+    drops the kept scores."""
 
     name: str
-    _case: EvalCase | None = None
 
     def fit(self, train: ViewMatrix) -> None:
-        self._case, self._scores = None, {}
+        self._kept: dict[int, tuple[EvalCase, dict[str, float]]] = {}
         self._fit(train)
 
+    def keep_scores(self, cases: list[EvalCase]) -> None:
+        held = [[*case.held_preferred, *case.held_non_preferred] for case in cases]
+        scores = self._score_cases(cases, held)
+        # Keyed by id, each beside its case: a kept case stays alive, so no
+        # other case can take its id while the scores are kept.
+        self._kept = {id(case): (case, dict(zip(films, row))) for case, films, row in zip(cases, held, scores)}
+
     def score_film(self, case: EvalCase, film: str) -> float:
-        if case is not self._case:
-            held = [*case.held_preferred, *case.held_non_preferred]
-            self._case, self._scores = case, dict(zip(held, self._score_films(case, held)))
-        if film not in self._scores:
-            self._scores[film] = self._score_films(case, [film])[0]
-        return self._scores[film]
+        if id(case) not in self._kept:
+            self.keep_scores([case])
+        scores = self._kept[id(case)][1]
+        if film not in scores:
+            scores[film] = self._score_cases([case], [[film]])[0][0]
+        return scores[film]
 
 
 class EgoGraphPolicy(CaseBatchPolicy):
     """The full similarity-graph pipeline: fit builds the similarity matrix,
     thresholded graph, centrality table, and clustering from training users.
-    Scoring splits a case's context films by the preference threshold, each
-    side in film-id order, and scores the case's films with one call of the
-    ``score_candidates`` that serving uses.
+    Scoring goes case by case: it splits a case's context films by the
+    preference threshold, each side in film-id order, and scores the case's
+    films with one call of the ``score_candidates`` that serving uses.
 
     The keyword arguments are ``PipelineConfig`` fields; fit reads the
     averaging policy and edge threshold, scoring the preference threshold.
@@ -264,12 +282,15 @@ class EgoGraphPolicy(CaseBatchPolicy):
         _warn_if_constant_centrality(self.graph, self.centrality, self.config.edge_threshold)
         self.clustering = louvain(self.graph)
 
-    def _score_films(self, case: EvalCase, films: list[str]) -> list[float]:
+    def _score_cases(self, cases: list[EvalCase], films: list[list[str]]) -> list[list[float]]:
         assert self.graph is not None and self.centrality is not None, "fit() first"
         threshold = self.config.preference_threshold
-        prefs = [film for film, pct in case.context.items() if pct > threshold]
-        nonprefs = [film for film, pct in case.context.items() if pct <= threshold]
-        return score_candidates(self.graph, self.centrality, films, prefs, nonprefs)
+        scores = []
+        for case, case_films in zip(cases, films):
+            prefs = [film for film, pct in case.context.items() if pct > threshold]
+            nonprefs = [film for film, pct in case.context.items() if pct <= threshold]
+            scores.append(score_candidates(self.graph, self.centrality, case_films, prefs, nonprefs))
+        return scores
 
 
 class RandomScorePolicy:
@@ -288,20 +309,29 @@ class RandomScorePolicy:
         return self._rng.choice((-1.0, 0.0, 1.0))
 
 
+def _padded(rows: Sequence[Sequence], fill, width: int = 0) -> np.ndarray:
+    """The rows as one array, each filled out with ``fill`` to the longest
+    row's length plus ``width``."""
+    out = np.full((len(rows), max(map(len, rows), default=0) + width), fill)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
 class TrainingArrays:
-    """The training matrix as arrays, from which both baselines predict.
-    A fit takes them from ``train.derived(TrainingArrays)``, so they are
-    built once per training matrix and kept with it, whichever policies
-    and how many evaluations use it.
+    """The training matrix as arrays, from which both baselines predict all
+    of a split's cases in one batch. A fit takes them from
+    ``train.derived(TrainingArrays)``, so they are built once per training
+    matrix and kept with it, whichever policies and how many evaluations
+    use it.
 
     ``film_index`` maps a film to its row; one extra all-zero row stands for
     every film the matrix lacks. Columns follow ``train.users``. ``pct``
     (films x users, the matrix's ``dense`` array transposed) lays the terms
     of each user's sums down axis 0, so ``column_sums`` adds them in film
     order; ``seen`` marks the watched cells, and ``lengths`` counts each
-    user's films. ``watched``, ``liked`` (pct > 0.5) and ``disliked``
-    (watched, pct <= 0.5) pack each film's users into 64-bit words, from
-    which Naive Bayes counts with popcounts.
+    user's films. Naive Bayes reads every count from the film x film
+    ``class_tables``.
     """
 
     def __init__(self, train: ViewMatrix):
@@ -311,60 +341,103 @@ class TrainingArrays:
         self.pct = np.vstack([pct.T, np.zeros((1, len(train.users)))])
         self.seen = np.vstack([watched.T, np.zeros((1, len(train.users)), dtype=bool)])
         self.lengths = watched.sum(axis=1)
-        liked = watched & (pct > 0.5)
-        self.watched, self.liked, self.disliked = (
-            np.vstack([words, np.zeros((1, words.shape[1]), dtype=np.uint64)])
-            for words in map(_pack_users, (watched, liked, watched & ~liked))
-        )
         self.norms = np.sqrt(column_sums(self.pct * self.pct))
+
+    @cached_property
+    def class_tables(self) -> np.ndarray:
+        """Naive Bayes's counts, built on first use, so that a run without
+        Naive Bayes does not pay for them. Cell [side, class, feature, film]
+        counts the users in the film's class, liked (pct > 0.5) or not, who
+        watched the feature (side 0) or liked it (side 1): popcounts of the
+        AND of the two films' users packed into 64-bit words, summed word by
+        word. The users in a film's class are cell [0, class, film, film]."""
+        seen = self.seen.T
+        liked = seen & (self.pct.T > 0.5)
+        seen_words, liked_words, disliked_words = map(_pack_users, (seen, liked, seen & ~liked))
+        # axes: side, class, feature, film, word
+        sides = np.stack([seen_words, liked_words])[:, None, :, None]
+        classes = np.stack([liked_words, disliked_words])[None, :, None]
+        tables = np.zeros((2, 2, len(self.pct), len(self.pct)), np.intp)
+        for word in range(seen_words.shape[1]):
+            tables += np.bitwise_count(sides[..., word] & classes[..., word])
+        return tables
 
     def columns(self, films: Iterable[str]) -> list[int]:
         return [self.film_index.get(film, self.absent) for film in films]
 
     def cosines(self, context: Mapping[str, float]) -> np.ndarray:
-        """Every training user's cosine with ``context`` (absent = 0),
-        bit-identical to a dict loop that sums the smaller dict's products
-        in its insertion order, a user's dict being in film order. The dot
-        product of a user with fewer films than the context is summed down
-        ``pct`` in film order, any other in context order. The unwatched
-        films add +0.0 terms, which change no partial sum but a -0.0 one,
-        and that comes only before a zero dot, which gives a 0.0 cosine
-        either way. ``column_sums`` adds each column alone, so which
-        columns sit beside it changes no bit."""
-        cols = self.columns(context)
-        vals = np.array([*context.values(), 0.0])
-        dense = np.zeros(self.absent + 1)
-        dense[cols] = vals[:-1]  # whatever lands in the absent row meets zeros
-        by_film = column_sums(self.pct * dense[:, None])
-        by_context = column_sums(self.pct[[*cols, self.absent]] * vals[:, None])
-        dot = np.where(self.lengths < len(context), by_film, by_context)
-        norm = np.sqrt(column_sums(vals * vals))
+        """Every training user's cosine with ``context``: one row of
+        ``cosines_batch``."""
+        return self.cosines_batch([context])[0]
+
+    def cosines_batch(self, contexts: Sequence[Mapping[str, float]]) -> np.ndarray:
+        """Every training user's cosine with each context (absent = 0), one
+        row per context, each bit-identical to a dict loop that sums the
+        smaller dict's products in its insertion order, a user's dict being
+        in film order. The dot products are added one context position at a
+        time, in context order, and for the users with fewer films than the
+        context, in film order: the context's films sorted by row. Terms of
+        films a user did not watch are +0.0, which change no partial sum but
+        a -0.0 one, and that comes only before a zero dot, which gives a 0.0
+        cosine either way. Each context and each user is added alone, so
+        which others are in the batch changes no bit."""
+        # one padding column at least, so that an empty context has a term to sum
+        cols = _padded([self.columns(context) for context in contexts], self.absent, width=1)
+        vals = _padded([list(context.values()) for context in contexts], 0.0, width=1)
+        by_context = self._dots(cols, vals)
+        order = np.argsort(cols, axis=1, kind="stable")
+        film_cols = np.take_along_axis(cols, order, axis=1)
+        if np.array_equal(film_cols, cols):
+            by_film = by_context
+        else:
+            by_film = self._dots(film_cols, np.take_along_axis(vals, order, axis=1))
+        sizes = np.array([len(context) for context in contexts])
+        dot = np.where(self.lengths < sizes[:, None], by_film, by_context)
+        norm = np.sqrt(column_sums((vals * vals).T))[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             cosine = dot / (norm * self.norms)
         return np.where((dot == 0.0) | (norm == 0.0) | (self.norms == 0.0), 0.0, cosine)
+
+    def _dots(self, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """Row i: the sum over positions p, in order, of ``vals[i, p]``
+        times every user's pct of film row ``cols[i, p]``."""
+        dot = np.zeros((len(cols), self.pct.shape[1]))
+        for col, val in zip(cols.T, vals.T[:, :, None]):
+            dot += self.pct[col] * val
+        return dot
 
 
 def knn_predict(
     arrays: TrainingArrays, user_views: Mapping[str, float], films: Iterable[str], k: int
 ) -> dict[str, bool]:
     """Predict preference per film from the k training users most similar to
-    the given viewing vector (cosine, absent = 0): preferred when those
-    neighbors' similarity-weighted mean percentage on the film exceeds 0.5;
-    films none of them watched come back non-preferred. Cosine ties go to
-    the lower user id: the sort is stable, and the training users are in
+    the given viewing vector: one case of ``knn_predict_batch``."""
+    return knn_predict_batch(arrays, [user_views], [list(films)], k)[0]
+
+
+def knn_predict_batch(
+    arrays: TrainingArrays, contexts: Sequence[Mapping[str, float]], films: Sequence[list[str]], k: int
+) -> list[dict[str, bool]]:
+    """Predict preference for each context's list of films from the k
+    training users most similar to it (cosine, absent = 0): preferred when
+    those neighbors' similarity-weighted mean percentage on the film exceeds
+    0.5; films none of them watched come back non-preferred. Cosine ties go
+    to the lower user id: the sort is stable, and the training users are in
     ``ident_sort_key`` order. Both sums run down the neighbours in rank
     order with ``column_sums``; a neighbour who did not watch the film, or
     whose similarity is not positive, adds 0.0."""
-    films = list(films)
-    cosines = arrays.cosines(user_views)
-    rows = np.argsort(-cosines, kind="stable")[:k]
-    targets = arrays.columns(films)
-    weights = np.where(arrays.seen[targets][:, rows] & (cosines[rows] > 0.0), cosines[rows], 0.0).T
-    weight_total = column_sums(weights)
-    weighted_pct = column_sums(weights * arrays.pct[targets][:, rows].T)
+    cosines = arrays.cosines_batch(contexts)
+    rows = np.argsort(-cosines, axis=1, kind="stable")[:, None, :k]
+    near = np.take_along_axis(cosines, rows[:, 0], axis=1)[:, None, :]
+    targets = _padded([arrays.columns(case_films) for case_films in films], arrays.absent)[:, :, None]
+    weights = np.where(arrays.seen[targets, rows] & (near > 0.0), near, 0.0)
+    weighted = weights * arrays.pct[targets, rows]
+    # one row per neighbour rank, one column per (case, film)
+    weight_total, weighted_pct = (column_sums(terms.reshape(-1, terms.shape[2]).T) for terms in (weights, weighted))
     with np.errstate(divide="ignore", invalid="ignore"):
         preferred = (weight_total > 0.0) & (weighted_pct / weight_total > 0.5)
-    return dict(zip(films, preferred.tolist()))
+    preferred = preferred.reshape(targets.shape[:2]).tolist()
+    return [dict(zip(case_films, row)) for case_films, row in zip(films, preferred)]
 
 
 _log_odds = np.zeros((0, 0))
@@ -388,49 +461,63 @@ def log_odds_table(size: int) -> np.ndarray:
 def naive_bayes_predict(
     arrays: TrainingArrays, user_views: Mapping[str, float], films: Iterable[str]
 ) -> dict[str, bool]:
-    """Per-film Bernoulli Naive Bayes over binarized labels (pct > 0.5) with
-    add-one smoothing. Features are the given user's other watched films'
-    binary labels; exact posterior ties resolve to non-preferred.
+    """Per-film Bernoulli Naive Bayes for one viewing vector: one case of
+    ``naive_bayes_predict_batch``."""
+    return naive_bayes_predict_batch(arrays, [user_views], [list(films)])[0]
 
-    Each class of a film's watchers (liked / not liked) and each feature's
-    watchers are packed user bits, so every count is an exact popcount of
-    their AND. The log terms are read from ``log_odds_table`` and added in
-    feature order with ``column_sums``. The film's own feature adds 0.0,
-    which changes no partial sum, as each is negative."""
-    features = sorted(user_views, key=ident_sort_key)
-    films = list(films)
-    targets = arrays.columns(films)
-    feature_cols = arrays.columns(features)
-    liked_feature = np.array([user_views[feature] > 0.5 for feature in features], dtype=bool)
-    match_bits = np.where(liked_feature[:, None], arrays.liked[feature_cols], arrays.disliked[feature_cols])
-    # one column per (class, film): the preferred class of every film, then the other
-    classes = np.vstack([arrays.liked[targets], arrays.disliked[targets]])
-    in_class = np.bitwise_count(classes).sum(axis=1)
-    seen = np.bitwise_count(arrays.watched[feature_cols][:, None] & classes).sum(axis=2)
-    match = np.bitwise_count(match_bits[:, None] & classes).sum(axis=2)
+
+def naive_bayes_predict_batch(
+    arrays: TrainingArrays, contexts: Sequence[Mapping[str, float]], films: Sequence[list[str]]
+) -> list[dict[str, bool]]:
+    """Per-film Bernoulli Naive Bayes over binarized labels (pct > 0.5) with
+    add-one smoothing, for each context's list of films. Features are the
+    context's other watched films' binary labels, in ``ident_sort_key``
+    order; exact posterior ties resolve to non-preferred.
+
+    Every count is a cell of the arrays' class tables, the match count of a
+    not-liked feature being its seen count less its liked count. The log
+    terms are read from ``log_odds_table`` and added in feature order with
+    ``column_sums``. The film's own feature, and the padding after a
+    context's last feature, add 0.0, which changes no partial sum, as each
+    is negative."""
+    features = [sorted(context, key=ident_sort_key) for context in contexts]
+    # axes: feature, class (liked, not liked), case, film
+    feature_cols = _padded([arrays.columns(names) for names in features], arrays.absent).T[:, None, :, None]
+    labels = _padded([list(map(context.__getitem__, names)) for context, names in zip(contexts, features)], 0.0)
+    targets = _padded([arrays.columns(case_films) for case_films in films], arrays.absent)
+    seen_in_class, liked_in_class = arrays.class_tables
+    classes = np.arange(2)[:, None, None]
+    seen = seen_in_class[classes, feature_cols, targets]
+    liked = liked_in_class[classes, feature_cols, targets]
+    match = np.where((labels > 0.5).T[:, None, :, None], liked, seen - liked)
+    in_class = seen_in_class[classes, targets, targets]
     table = log_odds_table(arrays.pct.shape[1] + 1)
-    terms = np.empty((1 + len(features), 2 * len(films)))
-    watchers = in_class[: len(films)] + in_class[len(films) :]
-    terms[0] = table[in_class, np.tile(watchers, 2)]
+    terms = np.empty((1 + len(feature_cols), *in_class.shape))
+    terms[0] = table[in_class, in_class.sum(axis=0)]
     terms[1:] = table[match, seen]
-    own = {feature: row for row, feature in enumerate(features, start=1)}
-    for col, film in enumerate(films):
-        if film in own:
-            terms[own[film], [col, col + len(films)]] = 0.0
-    log_posteriors = column_sums(terms).tolist()
-    log_pref, log_non = log_posteriors[: len(films)], log_posteriors[len(films) :]
-    return {film: pref > non for film, pref, non in zip(films, log_pref, log_non)}
+    for case, (context, names, case_films) in enumerate(zip(contexts, features, films)):
+        terms[1 + len(names) :, :, case] = 0.0
+        for col, film in enumerate(case_films):
+            if film in context:
+                terms[1 + names.index(film), :, case, col] = 0.0
+    log_pref, log_non = column_sums(terms.reshape(len(terms), -1)).reshape(in_class.shape)
+    preferred = (log_pref > log_non).tolist()
+    return [dict(zip(case_films, row)) for case_films, row in zip(films, preferred)]
 
 
 class BaselinePolicy(CaseBatchPolicy):
     """A baseline's preferred / non-preferred prediction as a scoring policy
     (+1/-1). ``fit`` takes the training matrix's ``TrainingArrays`` from
     ``train.derived``, built by the first baseline fitted on that matrix
-    and shared by the rest, and a case's four held-out films are predicted
-    with one call."""
+    and shared by the rest, and the held-out films of all the cases handed
+    over are predicted with one batch call."""
 
     def __init__(
-        self, name: str, predict: Callable[[TrainingArrays, Mapping[str, float], list[str]], dict[str, bool]]
+        self,
+        name: str,
+        predict: Callable[
+            [TrainingArrays, Sequence[Mapping[str, float]], Sequence[list[str]]], list[dict[str, bool]]
+        ],
     ):
         self.name = name
         self._predict = predict
@@ -439,10 +526,10 @@ class BaselinePolicy(CaseBatchPolicy):
     def _fit(self, train: ViewMatrix) -> None:
         self._arrays = train.derived(TrainingArrays)
 
-    def _score_films(self, case: EvalCase, films: list[str]) -> list[float]:
+    def _score_cases(self, cases: list[EvalCase], films: list[list[str]]) -> list[list[float]]:
         assert self._arrays is not None, "fit() first"
-        predictions = self._predict(self._arrays, case.context, films)
-        return [1.0 if predictions[film] else -1.0 for film in films]
+        predictions = self._predict(self._arrays, [case.context for case in cases], films)
+        return [[1.0 if row[film] else -1.0 for film in case_films] for row, case_films in zip(predictions, films)]
 
 
 def KnnPolicy(k: int = 5) -> BaselinePolicy:  # noqa: N802 (a policy constructor)
@@ -450,12 +537,12 @@ def KnnPolicy(k: int = 5) -> BaselinePolicy:  # noqa: N802 (a policy constructor
     ``k < 1`` is a ``DomainError`` here, before anything is fitted."""
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
-    return BaselinePolicy(f"knn{k}", lambda arrays, context, films: knn_predict(arrays, context, films, k))
+    return BaselinePolicy(f"knn{k}", lambda arrays, contexts, films: knn_predict_batch(arrays, contexts, films, k))
 
 
 def NaiveBayesPolicy() -> BaselinePolicy:  # noqa: N802 (a policy constructor)
     """The Naive Bayes baseline as a policy named ``naive_bayes``."""
-    return BaselinePolicy("naive_bayes", naive_bayes_predict)
+    return BaselinePolicy("naive_bayes", naive_bayes_predict_batch)
 
 
 # ---------------------------------------------------------------------------

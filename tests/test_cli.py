@@ -389,6 +389,14 @@ def test_unknown_eval_method_exits_two(events_file, capsys):
     assert main(["evaluate", str(events_file), "--methods", "astrology"]) == 2
 
 
+def test_a_method_named_twice_exits_two_before_the_events_are_read(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    code = main(["evaluate", str(tmp_path / "missing.csv"), "--methods", "knn, random,knn", "-o", str(report_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: method named twice: knn\n"
+    assert not report_path.exists()
+
+
 def test_negative_sample_size_exits_two(events_file, capsys):
     assert main(["evaluate", str(events_file), "--sample-size", "-1"]) == 2
     assert "sample_size" in capsys.readouterr().err

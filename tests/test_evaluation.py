@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -469,6 +470,16 @@ class TestSplitMemo:
             assert report.skipped_users == ("thin",)
             assert len(report.judgments) == 4 * (len(test.users) - 1)
 
+    def test_only_naive_bayes_builds_the_class_tables(self):
+        train, test = split_users(synthetic_view(), 40, 0.7, 0)
+        evaluate_method(KnnPolicy(5), train, test)
+        arrays = train.derived(TrainingArrays)
+        assert "class_tables" not in vars(arrays)
+        evaluate_method(NaiveBayesPolicy(), train, test)
+        tables = arrays.class_tables
+        evaluate_method(NaiveBayesPolicy(), train, test)
+        assert arrays.class_tables is tables
+
     def test_a_second_split_gets_its_own_arrays_and_cases(self):
         view = synthetic_view()
         policies = perfbench_policies(3)
@@ -495,21 +506,30 @@ class TestSplitMemo:
 
 
 class TestBaselinePolicy:
-    def test_one_knn_search_per_eligible_test_user(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kernel, make_policy",
+        [("knn_predict_batch", lambda: KnnPolicy(5)), ("naive_bayes_predict_batch", NaiveBayesPolicy)],
+        ids=["knn5", "naive_bayes"],
+    )
+    def test_one_batched_prediction_per_split_covers_every_eligible_user(self, monkeypatch, kernel, make_policy):
         calls = []
-        search = filmrec.evaluation.knn_predict
+        predict = getattr(filmrec.evaluation, kernel)
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return search(*args, **kwargs)
+        def counted(arrays, contexts, films, *args):
+            calls.append((contexts, films))
+            return predict(arrays, contexts, films, *args)
 
-        monkeypatch.setattr(filmrec.evaluation, "knn_predict", counted)
+        monkeypatch.setattr(filmrec.evaluation, kernel, counted)
         view = synthetic_view()
         train, test = split_users(view, 40, 0.7, 0)
-        report = evaluate_method(KnnPolicy(5), train, test)
-        eligible = len(test.users) - len(report.skipped_users)
-        assert eligible > 0 and len(calls) == eligible
-        assert len(report.judgments) == 4 * eligible
+        test = ViewMatrix({**test.entries(), ("1", "thin"): 0.5}, films=view.films)
+        report = evaluate_method(make_policy(), train, test)
+        eligible = [case for case in test.derived(filmrec.evaluation.eval_cases).values() if case is not None]
+        assert report.skipped_users == ("thin",) and len(eligible) == len(test.users) - 1
+        ((contexts, films),) = calls
+        assert all(context is case.context for context, case in zip(contexts, eligible, strict=True))
+        assert films == [[*case.held_preferred, *case.held_non_preferred] for case in eligible]
+        assert len(report.judgments) == 4 * len(eligible)
 
     @pytest.mark.parametrize(
         "policy, baseline",
@@ -536,6 +556,22 @@ class TestBaselinePolicy:
     def test_knn_policy_rejects_k_below_one_when_constructed(self, k):
         with pytest.raises(DomainError, match="k must be at least 1"):
             KnnPolicy(k)
+
+    def test_kept_scores_hold_their_cases_until_the_next_fit(self):
+        # The scores are keyed by id(case); a case kept alive beside them
+        # leaves its id to no later case.
+        train, test = split_users(synthetic_view(), 40, 0.7, 1)
+        policy = KnnPolicy(3)
+        policy.fit(train)
+        case = next(filter(None, (make_eval_case(user, test.user_views(user)) for user in test.users)))
+        policy.keep_scores([case])
+        kept = weakref.ref(case)
+        del case
+        gc.collect()
+        assert kept() is not None
+        policy.fit(train)
+        gc.collect()
+        assert kept() is None
 
     def test_fit_drops_kept_predictions(self):
         liked = ViewMatrix({(f, u): 0.9 for f in ("x", "y", "z", "w", "v") for u in ("a", "b")})
